@@ -1,23 +1,28 @@
-//! Selectivity-planned pattern matching.
+//! Selectivity-planned pattern matching, and the single entry point
+//! every pattern query goes through.
 //!
 //! [`crate::match_pattern`] seeds its search from *all* nodes and
 //! re-resolves label text per edge visited; on index-bearing graphs
-//! both costs are avoidable. This module is the planned counterpart:
-//! [`match_pattern_planned`] accepts a per-variable candidate
-//! **domain** (typically an index lookup produced by
-//! [`gdm_core::AttributedView::candidates`]), orders variables by
-//! estimated selectivity — smallest domain first, connectivity to
-//! already-placed variables as the tiebreak — and matches with
-//! per-pattern symbol caches so label comparisons are one `u32` hash
-//! instead of a text resolution per edge.
+//! both costs are avoidable. [`execute_pattern`] accepts a
+//! per-variable candidate **domain** (typically an index lookup
+//! produced by [`gdm_core::AttributedView::candidates`]), orders
+//! variables by estimated selectivity — smallest domain first,
+//! connectivity to already-placed variables as the tiebreak — and
+//! routes the query down one degradation ladder: the reference matcher
+//! when the domains are inconsistent, the vectorized morsel executor
+//! on a CSR snapshot, and otherwise the row-at-a-time planned matcher
+//! in this module, which uses per-pattern symbol caches so label
+//! comparisons are one `u32` hash instead of a text resolution per
+//! edge.
 //!
 //! Results land in a flat [`MatchTable`] (one row per match, one
 //! column per pattern variable) rather than one hash map per match;
 //! [`MatchTable::to_bindings`] converts for consumers of the unplanned
-//! API. The planned and unplanned matchers always produce the same
-//! binding *set* (verified by the `planned_equiv` property suite); the
-//! row order may differ because the variable order does.
+//! API. Every rung produces the same binding *set* as the unplanned
+//! matcher (verified by the `planned_equiv` property suite); the row
+//! order may differ because the variable order does.
 
+use crate::frozen::FrozenGraph;
 use crate::pattern::{Binding, Pattern};
 use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result, Symbol};
 use gdm_govern::{ExecutionGuard, GuardExt};
@@ -176,67 +181,65 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
         .all(|&n| g.contains_node(n))
 }
 
-/// Planned matching with the view's own indexes seeding the domains.
+/// Matches `pattern` in `g` with per-variable candidate `domains`
+/// (from [`auto_domains`] or a query plan), across up to `workers`
+/// threads, under an optional [`ExecutionGuard`] — the one entry point
+/// every pattern query goes through, and the one place its
+/// degradation ladder lives:
 ///
-/// Degradation ladder: the index-built domains are probed with
-/// [`domains_consistent`] first; if the probe reports an inconsistency
-/// the planned path is abandoned and the query is answered by the
-/// unplanned reference matcher ([`crate::match_pattern`]), which scans
-/// rather than trusts indexes — slower, never wrong.
-pub fn match_pattern_auto<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> MatchTable {
-    match_pattern_auto_guarded(g, pattern, None).expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_auto`] under an [`ExecutionGuard`] (same
-/// index-inconsistency fallback; both paths are governed).
-pub fn match_pattern_auto_governed<G: AttributedView + ?Sized>(
+/// 1. the domains are probed with [`domains_consistent`]; an
+///    inconsistent (corrupt-index) domain set abandons planning and
+///    the query is answered by the unplanned reference matcher
+///    ([`crate::match_pattern`]), which scans rather than trusts
+///    indexes — slower, never wrong;
+/// 2. a view backed by a CSR snapshot (its
+///    [`AttributedView::batch_backend`] is a [`FrozenGraph`]) runs the
+///    vectorized morsel executor ([`crate::vectorized`]), whose rows
+///    are byte-identical at every worker count;
+/// 3. any other view runs the row-at-a-time planned matcher, which
+///    binds variables smallest domain first and ignores `workers`.
+///
+/// Every rung returns the same binding set as [`crate::match_pattern`];
+/// row order follows the rung. A guard trip returns the structured
+/// `Interrupted` error with the rows emitted so far.
+pub fn execute_pattern<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
-    guard: &ExecutionGuard,
+    domains: &[Option<Vec<NodeId>>],
+    workers: usize,
+    guard: Option<&ExecutionGuard>,
 ) -> Result<MatchTable> {
-    match_pattern_auto_guarded(g, pattern, Some(guard))
+    if !domains_consistent(g, domains) {
+        let bindings = crate::pattern::match_pattern_guarded(g, pattern, guard)?;
+        return Ok(MatchTable::from_bindings(pattern, &bindings));
+    }
+    match g
+        .batch_backend()
+        .and_then(|b| b.downcast_ref::<FrozenGraph>())
+    {
+        Some(fz) => crate::vectorized::execute(fz, pattern, domains, workers, guard),
+        None => match_planned(g, pattern, domains, guard),
+    }
 }
 
-pub(crate) fn match_pattern_auto_guarded<G: AttributedView + ?Sized>(
+/// [`execute_pattern`] with the view's own indexes seeding the domains
+/// ([`auto_domains`]) and the process-wide worker pool
+/// ([`crate::executor_workers`]).
+pub fn match_pattern_auto<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     guard: Option<&ExecutionGuard>,
 ) -> Result<MatchTable> {
     let domains = auto_domains(g, pattern);
-    if !domains_consistent(g, &domains) {
-        let bindings = crate::pattern::match_pattern_guarded(g, pattern, guard)?;
-        return Ok(MatchTable::from_bindings(pattern, &bindings));
-    }
-    match_pattern_planned_guarded(g, pattern, &domains, guard)
+    execute_pattern(g, pattern, &domains, crate::executor_workers(), guard)
 }
 
-/// Finds all subgraph matches of `pattern` in `g`, seeding each
-/// variable from its domain (where given) and ordering variables by
-/// estimated selectivity. Matches are injective on nodes and equal to
-/// [`crate::match_pattern`]'s as a set; row order is deterministic but
-/// follows the planned variable order.
-pub fn match_pattern_planned<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-) -> MatchTable {
-    match_pattern_planned_guarded(g, pattern, domains, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_planned`] under an [`ExecutionGuard`]: one node
-/// charge per candidate binding attempt, one row charge per match.
-/// With an unlimited guard the result equals [`match_pattern_planned`].
-pub fn match_pattern_planned_governed<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-    guard: &ExecutionGuard,
-) -> Result<MatchTable> {
-    match_pattern_planned_guarded(g, pattern, domains, Some(guard))
-}
-
-pub(crate) fn match_pattern_planned_guarded<G: AttributedView + ?Sized>(
+/// The row-at-a-time planned matcher: seeds each variable from its
+/// domain (where given), orders variables by estimated selectivity,
+/// and charges one node per candidate binding attempt and one row per
+/// match. Matches are injective on nodes; row order is deterministic
+/// but follows the planned variable order.
+pub(crate) fn match_planned<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
@@ -532,7 +535,7 @@ mod tests {
     fn planned_equals_unplanned_on_chain() {
         let g = community();
         let p = chain_pattern();
-        let planned = match_pattern_auto(&g, &p);
+        let planned = match_pattern_auto(&g, &p, None).unwrap();
         let unplanned = match_pattern(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), unplanned.len());
@@ -543,10 +546,10 @@ mod tests {
         let g = community();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x"));
-        let all = match_pattern_planned(&g, &p, &[None]);
+        let all = execute_pattern(&g, &p, &[None], 1, None).unwrap();
         assert_eq!(all.len(), 20);
         let dom: Domains = vec![Some(vec![NodeId(1), NodeId(2)])];
-        let some = match_pattern_planned(&g, &p, &dom);
+        let some = execute_pattern(&g, &p, &dom, 1, None).unwrap();
         assert_eq!(some.len(), 2);
         let rows: Vec<&[NodeId]> = some.rows().collect();
         assert_eq!(rows[0], &[NodeId(1)]);
@@ -562,7 +565,7 @@ mod tests {
         // result.
         let z_only = NodeId(3);
         let dom: Domains = vec![None, None, Some(vec![z_only])];
-        let restricted = match_pattern_planned(&g, &p, &dom);
+        let restricted = execute_pattern(&g, &p, &dom, 1, None).unwrap();
         let full = canonical(&match_pattern(&g, &p));
         for row in restricted.rows() {
             assert_eq!(row[2], z_only);
@@ -604,7 +607,7 @@ mod tests {
     #[test]
     fn empty_pattern_and_empty_table() {
         let g = community();
-        let table = match_pattern_planned(&g, &Pattern::new(), &Vec::new());
+        let table = execute_pattern(&g, &Pattern::new(), &Vec::new(), 1, None).unwrap();
         assert_eq!(table.len(), 0);
         assert!(table.is_empty());
         assert!(table.to_bindings().is_empty());
@@ -617,7 +620,7 @@ mod tests {
         let x = p.node(PatternNode::var("x").with_label("company"));
         let y = p.node(PatternNode::var("y"));
         p.edge(x, y, Some("knows")).unwrap();
-        let table = match_pattern_auto(&g, &p);
+        let table = match_pattern_auto(&g, &p, None).unwrap();
         assert_eq!(table.vars(), &["x".to_owned(), "y".to_owned()]);
         let bindings = table.to_bindings();
         assert_eq!(bindings.len(), table.len());
@@ -693,7 +696,7 @@ mod tests {
         assert!(!domains_consistent(&g, &domains));
         // Trusting the lying index would return zero matches; the
         // fallback answers from the reference scan instead.
-        let via_auto = match_pattern_auto(&g, &p);
+        let via_auto = match_pattern_auto(&g, &p, None).unwrap();
         let reference = match_pattern(&g.0, &p);
         assert!(!reference.is_empty());
         assert_eq!(canonical(&via_auto.to_bindings()), canonical(&reference));
@@ -704,8 +707,7 @@ mod tests {
         let g = community();
         let p = chain_pattern();
         let guard = gdm_govern::ExecutionGuard::new(gdm_govern::Limits::none().with_node_visits(1));
-        let err =
-            match_pattern_planned_governed(&g, &p, &auto_domains(&g, &p), &guard).unwrap_err();
+        let err = match_pattern_auto(&g, &p, Some(&guard)).unwrap_err();
         assert!(err.is_interrupted());
     }
 
@@ -714,9 +716,8 @@ mod tests {
         let g = community();
         let p = chain_pattern();
         let guard = gdm_govern::ExecutionGuard::unlimited();
-        let governed =
-            match_pattern_planned_governed(&g, &p, &auto_domains(&g, &p), &guard).unwrap();
-        let plain = match_pattern_auto(&g, &p);
+        let governed = match_pattern_auto(&g, &p, Some(&guard)).unwrap();
+        let plain = match_pattern_auto(&g, &p, None).unwrap();
         assert_eq!(
             canonical(&governed.to_bindings()),
             canonical(&plain.to_bindings())
@@ -731,7 +732,7 @@ mod tests {
         g.add_node("n", props! { "v" => 4 });
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("v", 3.0));
-        let planned = match_pattern_auto(&g, &p);
+        let planned = match_pattern_auto(&g, &p, None).unwrap();
         let unplanned = match_pattern(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), 2);

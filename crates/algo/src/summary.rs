@@ -13,7 +13,7 @@
 
 use crate::paths::{distance, reachable_set};
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Value};
-use gdm_govern::ExecutionGuard;
+use gdm_govern::{ExecutionGuard, GuardExt};
 
 /// The aggregate functions of the paper's summarization group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,13 +135,7 @@ pub fn eccentricity(g: &dyn GraphView, n: NodeId, direction: Direction) -> Optio
 /// for an empty graph. Nodes that cannot reach each other do not
 /// contribute (the usual finite-diameter convention).
 pub fn diameter(g: &dyn GraphView, direction: Direction) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    g.visit_nodes(&mut |n| {
-        if let Some(e) = eccentricity(g, n, direction) {
-            best = Some(best.map_or(e, |b| b.max(e)));
-        }
-    });
-    best
+    diameter_guarded(g, direction, None).expect("ungoverned search cannot be interrupted")
 }
 
 /// [`diameter`] under an [`ExecutionGuard`]: all-pairs BFS is O(V·E),
@@ -155,6 +149,14 @@ pub fn diameter_governed(
     g: &dyn GraphView,
     direction: Direction,
     guard: &ExecutionGuard,
+) -> Result<Option<usize>> {
+    diameter_guarded(g, direction, Some(guard))
+}
+
+fn diameter_guarded(
+    g: &dyn GraphView,
+    direction: Direction,
+    guard: Option<&ExecutionGuard>,
 ) -> Result<Option<usize>> {
     let mut best: Option<usize> = None;
     for n in g.node_ids() {

@@ -1,14 +1,15 @@
-//! Vectorized batch-at-a-time pattern matching over the CSR snapshot.
+//! The frozen pattern executor: vectorized, batch-at-a-time matching
+//! over the CSR snapshot, driven morsel by morsel.
 //!
-//! The planned matcher ([`crate::planned`]) walks [`FrozenGraph`] one
-//! binding at a time through the generic [`gdm_core::AttributedView`]
-//! trait: every candidate costs a virtual call, a dense-index hash
-//! lookup, and a `NodeId`-keyed hash-set probe. This module is the
-//! columnar counterpart in the MonetDB/GraphBLAS style: operators
-//! consume and produce **batches of dense `u32` ids** ([`BATCH`] rows
-//! at a time) directly against the snapshot's CSR arrays, so the inner
-//! loops are array indexing over integer columns with no dynamic
-//! dispatch at all (DESIGN.md §13).
+//! The planned matcher ([`crate::planned`]) walks a view one binding
+//! at a time through the generic [`gdm_core::AttributedView`] trait:
+//! every candidate costs a virtual call, a hash lookup, and a
+//! `NodeId`-keyed hash-set probe. This module is the columnar
+//! counterpart in the MonetDB/GraphBLAS style: operators consume and
+//! produce **batches of dense `u32` ids** ([`BATCH`] rows at a time)
+//! directly against the snapshot's CSR arrays, so the inner loops are
+//! array indexing over integer columns with no dynamic dispatch at all
+//! (DESIGN.md §13).
 //!
 //! The operator set mirrors a classic batch pipeline:
 //!
@@ -18,44 +19,54 @@
 //!   range lookups, node or edge) arrive as dense selection vectors;
 //! * **batched expand** — the generating pattern edge is expanded by
 //!   walking `out_targets`/`in_targets` runs, deduplicating per source
-//!   row with a reusable stamp array (no per-row allocation);
+//!   row with reusable per-depth stamp arrays (no per-row allocation);
 //! * **residual filter** — label symbols (pre-resolved once per query
 //!   against the snapshot's interner, so the batch loop compares
 //!   `u32`s), property equality, injectivity, and non-generator edge
 //!   checks run over the batch columns in place;
 //! * **materialize** — surviving rows append to a flat buffer that
-//!   exits as a [`MatchTable`], the planned API's result type.
+//!   exits as a [`MatchTable`].
 //!
 //! Search order is depth-first at *batch* granularity: a child batch
 //! is flushed into the next operator as soon as it fills, so memory
-//! stays bounded by `depth × BATCH` regardless of result size.
+//! stays bounded by `depth × BATCH` regardless of result size. A flush
+//! can fire in the middle of a source row's expansion, which is why
+//! every depth keeps its own dedup stamps: the child's expansions must
+//! not disturb the parent row's marks.
 //!
-//! **Equivalence.** The pipeline binds variables in exactly
-//! [`planned_order`] and applies exactly the planned matcher's
-//! constraint checks, so its result equals
-//! [`crate::match_pattern_planned`]'s as a set (the `planned_equiv`
-//! property suite proves vectorized ≡ planned ≡ unplanned). Row order
-//! may differ: batching reorders siblings, never membership.
+//! **Morsels.** The plan is compiled once and shared read-only; its
+//! root seed list is split into morsels and run on the
+//! `parallel::run_morsels` substrate (DESIGN.md §15). Below
+//! `PAR_PATTERN_MIN_ROOTS` seeds, or at one worker, the same driver
+//! runs inline on the calling thread. Emission order is a function of
+//! root seed order alone — batch boundaries split but never reorder
+//! the candidate stream, and recursion drains a prefix of seeds before
+//! its suffix — so concatenating morsel outputs in morsel order is
+//! **byte identical** at every worker count.
 //!
-//! **Governance.** The guard is ticked once per batch, not once per
-//! visit: [`gdm_govern::ExecutionGuard::nodes`] charges a whole
-//! candidate batch in one atomic add and runs the deadline/cancel
-//! check unconditionally — at ≤ [`BATCH`] visits per draw that is both
-//! cheaper and *more responsive* than the per-visit amortized pulse.
-//! A trip surfaces as the same structured
-//! [`gdm_core::GdmError::Interrupted`] (reason + rows emitted so far)
-//! the row-at-a-time matchers return.
+//! **Governance.** Each worker charges a [`gdm_govern::WorkerGuard`] once per
+//! batch, not once per visit, and drains it at morsel boundaries;
+//! every charge still runs the shared guard's deadline/cancel check. A
+//! trip aborts the morsel queue and surfaces as the same structured
+//! [`gdm_core::GdmError::Interrupted`] the row-at-a-time matchers
+//! return, with `partial` covering the rows of *all* workers.
 
 use crate::frozen::FrozenGraph;
+use crate::parallel::{fanout_forced, run_morsels};
 use crate::pattern::{value_in_range, Pattern};
 use crate::planned::{domain_estimates, planned_order, MatchTable};
-use gdm_core::{Direction, GraphView, NodeId, Result, Symbol, Value};
+use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
 use gdm_govern::{ExecutionGuard, GuardExt};
 
 /// Rows per batch. Large enough to amortize per-batch costs (guard
 /// draw, recursion) to noise; small enough that a working set of
 /// `pattern depth × BATCH × 4` bytes stays cache-resident.
 pub const BATCH: usize = 1024;
+
+/// Minimum number of root seeds before fanning a pattern search out
+/// across threads. Below this, spawn + join costs more than the rooted
+/// searches themselves, so the driver runs inline on one worker.
+const PAR_PATTERN_MIN_ROOTS: usize = 64;
 
 /// A label constraint pre-resolved against the snapshot's interner.
 #[derive(Clone, Copy, PartialEq)]
@@ -105,93 +116,93 @@ impl Frame {
     }
 }
 
-/// Finds all subgraph matches of `pattern` in the snapshot, seeding
-/// each variable from its domain (where given). Equal to
-/// [`crate::match_pattern_planned`] as a binding set; row order may
-/// differ (batch siblings are emitted in seed order).
-pub fn match_pattern_vectorized(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-) -> MatchTable {
-    match_pattern_vectorized_guarded(fz, pattern, domains, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_vectorized`] under an [`ExecutionGuard`]: candidate
-/// batches charge [`ExecutionGuard::nodes`], emitted row batches
-/// charge [`ExecutionGuard::rows`], and a trip returns the structured
-/// `Interrupted` error with the partial row count.
+/// Compatibility shim for callers that route a plan themselves: the
+/// executor at one worker, without the domain-consistency probe.
+#[doc(hidden)]
 pub fn match_pattern_vectorized_governed(
     fz: &FrozenGraph,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
     guard: &ExecutionGuard,
 ) -> Result<MatchTable> {
-    match_pattern_vectorized_guarded(fz, pattern, domains, Some(guard))
+    execute(fz, pattern, domains, 1, Some(guard))
 }
 
-/// Vectorized matching with the snapshot's own indexes seeding the
-/// domains — the batch counterpart of [`crate::match_pattern_auto`],
-/// including its degradation ladder (inconsistent domains fall back to
-/// the unplanned reference matcher).
-pub fn match_pattern_vectorized_auto(fz: &FrozenGraph, pattern: &Pattern) -> MatchTable {
-    match_pattern_vectorized_auto_guarded(fz, pattern, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_vectorized_auto`] under an [`ExecutionGuard`].
-pub fn match_pattern_vectorized_auto_governed(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    guard: &ExecutionGuard,
-) -> Result<MatchTable> {
-    match_pattern_vectorized_auto_guarded(fz, pattern, Some(guard))
-}
-
-fn match_pattern_vectorized_auto_guarded(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    guard: Option<&ExecutionGuard>,
-) -> Result<MatchTable> {
-    let domains = crate::planned::auto_domains(fz, pattern);
-    if !crate::planned::domains_consistent(fz, &domains) {
-        let bindings = crate::pattern::match_pattern_guarded(fz, pattern, guard)?;
-        return Ok(MatchTable::from_bindings(pattern, &bindings));
-    }
-    match_pattern_vectorized_guarded(fz, pattern, &domains, guard)
-}
-
-pub(crate) fn match_pattern_vectorized_guarded(
+/// Compatibility shim for callers that route a plan themselves: the
+/// executor at `workers`, without the domain-consistency probe.
+#[doc(hidden)]
+pub fn match_pattern_par_vectorized_domains_governed(
     fz: &FrozenGraph,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
+    workers: usize,
+    guard: &ExecutionGuard,
+) -> Result<MatchTable> {
+    execute(fz, pattern, domains, workers, Some(guard))
+}
+
+/// Runs `pattern` over the snapshot, seeding each variable from its
+/// domain (where given), across up to `workers` threads. Equal to the
+/// planned matcher as a binding set, and byte-identical at every
+/// worker count. Callers go through [`crate::execute_pattern`], which
+/// probes the domains first.
+pub(crate) fn execute(
+    fz: &FrozenGraph,
+    pattern: &Pattern,
+    domains: &[Option<Vec<NodeId>>],
+    workers: usize,
     guard: Option<&ExecutionGuard>,
 ) -> Result<MatchTable> {
-    let vars = var_names(pattern);
+    let vars: Vec<String> = pattern.nodes.iter().map(|pn| pn.var.clone()).collect();
     if pattern.nodes.is_empty() {
         return Ok(MatchTable::from_parts(vars, Vec::new()));
     }
     let plan = BatchPlan::compile(fz, pattern, domains);
-    let mut scratch = BatchScratch::new(fz);
-    let data = plan.run(None, &mut scratch, guard)?;
+    let seeds = plan.root_seed_list();
+    let workers = if seeds.len() < PAR_PATTERN_MIN_ROOTS && !fanout_forced() {
+        1
+    } else {
+        workers
+    };
+    let parts = run_morsels(
+        seeds.len(),
+        workers,
+        || {
+            (
+                vec![Stamps::default(); pattern.nodes.len()],
+                guard.map(ExecutionGuard::worker),
+            )
+        },
+        |(dedup, worker_guard), range| match worker_guard {
+            // Drain the worker's pending counts at every morsel
+            // boundary so budget trips surface promptly.
+            Some(w) => {
+                let data = plan.run(&seeds[range], dedup, &*w)?;
+                w.flush().map(|()| data)
+            }
+            None => plan.run::<Option<&ExecutionGuard>>(&seeds[range], dedup, None),
+        },
+    );
+    // Every worker guard has settled by now, so a trip's partial row
+    // count covers all workers, not just the one that tripped.
+    let mut parts = parts.map_err(|e| match (e.interrupt_reason(), guard) {
+        (Some(reason), Some(g)) => GdmError::interrupted(reason, g.budget().rows_emitted()),
+        _ => e,
+    })?;
+    let data = match parts.len() {
+        1 => parts.pop().expect("one part"),
+        _ => parts.concat(),
+    };
     Ok(MatchTable::from_parts(vars, data))
-}
-
-/// Column names of the result table, in pattern variable order.
-pub(crate) fn var_names(pattern: &Pattern) -> Vec<String> {
-    pattern.nodes.iter().map(|pn| pn.var.clone()).collect()
 }
 
 /// Everything about a vectorized match that depends only on the
 /// (snapshot, pattern, domains) triple: the elimination order, the
 /// per-depth generator/residual schedule, pre-resolved label symbols,
 /// and the domain selection vectors/bitsets. Compiled once and then
-/// shared read-only — by the sequential [`BatchPlan::run`] over the
-/// whole root domain, or by every worker of the morsel-driven parallel
-/// executor ([`crate::par_vectorized`]) over root sub-ranges, which is
-/// what guarantees all morsels see the *same* plan.
-pub(crate) struct BatchPlan<'a> {
+/// shared read-only by every worker, which is what guarantees all
+/// morsels see the *same* plan.
+struct BatchPlan<'a> {
     fz: &'a FrozenGraph,
     pattern: &'a Pattern,
     order: Vec<usize>,
@@ -203,27 +214,45 @@ pub(crate) struct BatchPlan<'a> {
     dom_bits: Vec<Option<Vec<u64>>>,
 }
 
-/// Reusable per-thread search scratch: the dense-indexed dedup stamp
-/// array. Kept outside [`BatchPlan`] so one allocation serves every
-/// morsel a worker runs, instead of `O(|V|)` zeroing per morsel.
-pub(crate) struct BatchScratch {
-    stamp: Vec<u32>,
-    stamp_gen: u32,
+/// Dense-indexed parallel-edge dedup marks for one pattern depth: a
+/// target is a duplicate within the current source row iff its mark
+/// equals `current`. Each worker keeps one per depth and reuses them
+/// across its morsels; the marks are sized on the depth's first
+/// expansion, so depths without a generating edge never allocate.
+#[derive(Clone, Default)]
+struct Stamps {
+    marks: Vec<u32>,
+    current: u32,
 }
 
-impl BatchScratch {
-    pub(crate) fn new(fz: &FrozenGraph) -> BatchScratch {
-        BatchScratch {
-            stamp: vec![0u32; fz.len()],
-            stamp_gen: 0,
+impl Stamps {
+    /// Opens a new source row over a snapshot of `nodes` nodes.
+    fn next_row(&mut self, nodes: usize) {
+        if self.marks.len() != nodes {
+            self.marks = vec![0; nodes];
         }
+        self.current = self.current.wrapping_add(1);
+        if self.current == 0 {
+            self.marks.fill(0);
+            self.current = 1;
+        }
+    }
+
+    /// Marks `target` as seen in the current row, reporting whether it
+    /// already was.
+    #[inline]
+    fn seen(&mut self, target: u32) -> bool {
+        let mark = &mut self.marks[target as usize];
+        let dup = *mark == self.current;
+        *mark = self.current;
+        dup
     }
 }
 
 impl<'a> BatchPlan<'a> {
     /// Compiles the static plan. Callers must have rejected empty
     /// patterns already ([`planned_order`] needs at least one node).
-    pub(crate) fn compile(
+    fn compile(
         fz: &'a FrozenGraph,
         pattern: &'a Pattern,
         domains: &[Option<Vec<NodeId>>],
@@ -315,14 +344,9 @@ impl<'a> BatchPlan<'a> {
         }
     }
 
-    /// The full root seed list (dense positions), in the exact order
-    /// the sequential executor scans it. The morsel driver splits this
-    /// into contiguous ranges; because emission order is a function of
-    /// seed order alone (batch boundaries split but never reorder the
-    /// candidate stream, and recursion drains a prefix before its
-    /// suffix), concatenating per-range results in range order
-    /// reproduces the sequential output byte for byte.
-    pub(crate) fn root_seed_list(&self) -> Vec<u32> {
+    /// The full root seed list (dense positions), in the order a
+    /// one-worker run scans it; morsels are contiguous ranges of it.
+    fn root_seed_list(&self) -> Vec<u32> {
         let pv = self.order[0];
         if self.node_want[pv] == Want::Impossible {
             return Vec::new();
@@ -344,22 +368,21 @@ impl<'a> BatchPlan<'a> {
     }
 
     /// Runs the full operator chain — seed, batched expand, residual
-    /// filter, materialize — and returns the flat result data
-    /// (`n_vars` node ids per row). `root_seeds` restricts the root
-    /// seed operator to a sub-range (the morsel driver's hook); `None`
-    /// scans the whole root domain. The guard is generic so the same
-    /// pipeline serves the sequential path (`Option<&ExecutionGuard>`)
-    /// and parallel workers (`&WorkerGuard`) without dynamic dispatch.
-    pub(crate) fn run<G: GuardExt>(
+    /// filter, materialize — over the root seeds `root_seeds` and
+    /// returns the flat result data (`n_vars` node ids per row). The
+    /// guard is generic so ungoverned runs (`Option<&ExecutionGuard>`)
+    /// and governed workers (`&WorkerGuard`) share the pipeline
+    /// without dynamic dispatch.
+    fn run<G: GuardExt>(
         &self,
-        root_seeds: Option<&[u32]>,
-        scratch: &mut BatchScratch,
+        root_seeds: &[u32],
+        dedup: &mut [Stamps],
         guard: G,
     ) -> Result<Vec<NodeId>> {
         let mut search = VecSearch {
             plan: self,
             root_seeds,
-            scratch,
+            dedup,
             data: Vec::new(),
             guard,
         };
@@ -370,13 +393,10 @@ impl<'a> BatchPlan<'a> {
 
 struct VecSearch<'a, G: GuardExt> {
     plan: &'a BatchPlan<'a>,
-    /// Root seed sub-range override (morsel execution); `None` scans
-    /// the plan's whole root domain.
-    root_seeds: Option<&'a [u32]>,
-    /// Reusable per-row dedup marks for batched expansion: a node is a
-    /// duplicate within one source row's expansion iff its stamp
-    /// equals the current generation.
-    scratch: &'a mut BatchScratch,
+    /// The root seed operator's input: this morsel's seed range.
+    root_seeds: &'a [u32],
+    /// Per-depth dedup marks for batched expansion.
+    dedup: &'a mut [Stamps],
     /// Flat result buffer, `n_vars` node ids per row in pattern
     /// variable order.
     data: Vec<NodeId>,
@@ -408,20 +428,18 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 }
             }
             None => {
-                // Seed operator: the morsel's root sub-range at depth
-                // 0 when one was supplied, else the domain selection
-                // vector when the planner supplied one, else the
-                // label-scan slice, else every dense position.
+                // Seed operator: the morsel's root seeds at depth 0,
+                // else the domain selection vector when the planner
+                // supplied one, else the label-scan slice, else every
+                // dense position.
                 let owned: Vec<u32>;
-                let scan: &[u32] = match (depth, self.root_seeds) {
-                    (0, Some(seeds)) => seeds,
-                    _ => match &self.plan.dom_list[pv] {
-                        Some(list) => list,
-                        None => {
-                            owned = self.plan.all_dense(pv);
-                            &owned
-                        }
-                    },
+                let scan: &[u32] = match (depth, &self.plan.dom_list[pv]) {
+                    (0, _) => self.root_seeds,
+                    (_, Some(list)) => list,
+                    (_, None) => {
+                        owned = self.plan.all_dense(pv);
+                        &owned
+                    }
                 };
                 for row in 0..frame.len {
                     for chunk in scan.chunks(BATCH) {
@@ -470,12 +488,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
         };
         let bound = frame.cols[bound_var][row];
 
-        // New dedup generation for this source row.
-        self.scratch.stamp_gen = self.scratch.stamp_gen.wrapping_add(1);
-        if self.scratch.stamp_gen == 0 {
-            self.scratch.stamp.fill(0);
-            self.scratch.stamp_gen = 1;
-        }
+        self.dedup[depth].next_row(self.plan.fz.len());
 
         let (fwd_first, rev_too) = match dir {
             Direction::Outgoing => (true, false),
@@ -522,10 +535,9 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 continue;
             }
             let target = run.targets[pos];
-            if self.scratch.stamp[target as usize] == self.scratch.stamp_gen {
+            if self.dedup[depth].seen(target) {
                 continue; // parallel-edge duplicate within this row
             }
-            self.scratch.stamp[target as usize] = self.scratch.stamp_gen;
             if let Some(bits) = bits {
                 if bits[target as usize / 64] & (1 << (target % 64)) == 0 {
                     continue; // outside the variable's domain
@@ -688,11 +700,27 @@ impl<G: GuardExt> VecSearch<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{force_fanout, inject_worker_panic_once};
     use crate::pattern::{canonical, match_pattern, PatternNode};
-    use crate::planned::{auto_domains, match_pattern_auto};
-    use gdm_core::props;
+    use crate::planned::{auto_domains, match_planned};
+    use gdm_core::{props, InterruptReason};
     use gdm_govern::{CancelToken, ExecutionGuard, Limits};
-    use gdm_graphs::PropertyGraph;
+    use gdm_graphs::{PropertyGraph, SimpleGraph};
+    use std::time::Duration;
+
+    /// The executor over the snapshot's own index domains.
+    fn run(fz: &FrozenGraph, p: &Pattern, workers: usize) -> MatchTable {
+        execute(fz, p, &auto_domains(fz, p), workers, None).unwrap()
+    }
+
+    fn run_governed(
+        fz: &FrozenGraph,
+        p: &Pattern,
+        workers: usize,
+        guard: &ExecutionGuard,
+    ) -> Result<MatchTable> {
+        execute(fz, p, &auto_domains(fz, p), workers, Some(guard))
+    }
 
     fn community() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -711,9 +739,39 @@ mod tests {
         g
     }
 
+    fn social(n: u64) -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| {
+                g.add_node(
+                    if i % 5 == 0 { "company" } else { "person" },
+                    props! { "i" => i as i64 },
+                )
+            })
+            .collect();
+        for i in 0..n as usize {
+            let a = nodes[i];
+            g.add_edge(a, nodes[(i * 7 + 1) % n as usize], "knows", props! {})
+                .unwrap();
+            g.add_edge(a, nodes[(i * 13 + 3) % n as usize], "knows", props! {})
+                .unwrap();
+        }
+        g
+    }
+
     fn chain_pattern() -> Pattern {
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x"));
+        let y = p.node(PatternNode::var("y").with_label("person"));
+        let z = p.node(PatternNode::var("z"));
+        p.edge(x, y, Some("knows")).unwrap();
+        p.edge(y, z, Some("knows")).unwrap();
+        p
+    }
+
+    fn two_hop() -> Pattern {
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x").with_label("person"));
         let y = p.node(PatternNode::var("y").with_label("person"));
         let z = p.node(PatternNode::var("z"));
         p.edge(x, y, Some("knows")).unwrap();
@@ -726,8 +784,8 @@ mod tests {
         let g = community();
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
-        let planned = match_pattern_auto(&fz, &p);
+        let vec = run(&fz, &p, 1);
+        let planned = match_planned(&fz, &p, &auto_domains(&fz, &p), None).unwrap();
         let unplanned = match_pattern(&fz, &p);
         assert_eq!(
             canonical(&vec.to_bindings()),
@@ -742,9 +800,9 @@ mod tests {
         let g = community();
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
-        let dom = auto_domains(&fz, &p);
-        let via_domains = match_pattern_vectorized(&fz, &p, &dom);
-        let planned = crate::planned::match_pattern_planned(&fz, &p, &dom);
+        let dom: Vec<Option<Vec<NodeId>>> = vec![None, None, Some(vec![NodeId(3), NodeId(5)])];
+        let via_domains = execute(&fz, &p, &dom, 1, None).unwrap();
+        let planned = match_planned(&fz, &p, &dom, None).unwrap();
         assert_eq!(
             canonical(&via_domains.to_bindings()),
             canonical(&planned.to_bindings())
@@ -763,7 +821,7 @@ mod tests {
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x"));
         p.edge(x, x, Some("self")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = run(&fz, &p, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&match_pattern(&fz, &p))
@@ -773,7 +831,7 @@ mod tests {
         let u = q.node(PatternNode::var("u"));
         let v = q.node(PatternNode::var("v"));
         q.edge_undirected(u, v, Some("link")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &q);
+        let vec = run(&fz, &q, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&match_pattern(&fz, &q))
@@ -791,7 +849,7 @@ mod tests {
         p.edge(x, y, Some("knows")).unwrap();
         p.edge_range("w", Some(Value::from(5)), Some(Value::from(9)))
             .unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = run(&fz, &p, 1);
         let unplanned = match_pattern(&fz, &p);
         assert_eq!(canonical(&vec.to_bindings()), canonical(&unplanned));
         assert_eq!(vec.len(), 5, "w ∈ [5, 9] keeps five edges");
@@ -803,16 +861,12 @@ mod tests {
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
         let guard = ExecutionGuard::new(Limits::none().with_node_visits(4));
-        let err = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap_err();
+        let err = run_governed(&fz, &p, 1, &guard).unwrap_err();
         assert!(err.is_interrupted());
         // Unlimited guard reproduces the ungoverned result.
         let guard = ExecutionGuard::unlimited();
-        let governed = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap();
-        let plain = match_pattern_vectorized_auto(&fz, &p);
-        assert_eq!(
-            canonical(&governed.to_bindings()),
-            canonical(&plain.to_bindings())
-        );
+        let governed = run_governed(&fz, &p, 1, &guard).unwrap();
+        assert_eq!(governed, run(&fz, &p, 1));
     }
 
     #[test]
@@ -823,7 +877,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let guard = ExecutionGuard::with_cancel(Limits::none(), cancel);
-        let err = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap_err();
+        let err = run_governed(&fz, &p, 1, &guard).unwrap_err();
         assert!(err.is_interrupted());
     }
 
@@ -833,19 +887,20 @@ mod tests {
         let fz = FrozenGraph::freeze_attributed(&g);
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_label("zzz"));
-        assert!(match_pattern_vectorized_auto(&fz, &p).is_empty());
+        assert!(run(&fz, &p, 1).is_empty());
         let mut q = Pattern::new();
         let a = q.node(PatternNode::var("a"));
         let b = q.node(PatternNode::var("b"));
         q.edge(a, b, Some("zzz")).unwrap();
-        assert!(match_pattern_vectorized_auto(&fz, &q).is_empty());
+        assert!(run(&fz, &q, 1).is_empty());
     }
 
     #[test]
     fn empty_pattern_is_empty() {
         let g = community();
         let fz = FrozenGraph::freeze_attributed(&g);
-        assert!(match_pattern_vectorized_auto(&fz, &Pattern::new()).is_empty());
+        assert!(run(&fz, &Pattern::new(), 1).is_empty());
+        assert!(run(&fz, &Pattern::new(), 4).is_empty());
     }
 
     #[test]
@@ -862,12 +917,197 @@ mod tests {
         let x = p.node(PatternNode::var("x").with_label("leaf"));
         let h = p.node(PatternNode::var("h").with_label("hub"));
         p.edge(x, h, Some("to")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = run(&fz, &p, 1);
         assert_eq!(vec.len(), BATCH + 300);
-        let planned = match_pattern_auto(&fz, &p);
+        let planned = match_planned(&fz, &p, &auto_domains(&fz, &p), None).unwrap();
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&planned.to_bindings())
         );
+    }
+
+    #[test]
+    fn vectorized_dedup_survives_a_mid_row_batch_flush() {
+        // One root whose expansion overflows a batch mid-row: the
+        // flush recurses into the next depth before the root's row is
+        // done. A parallel edge after the flush must still dedup, and
+        // targets the child depth stamped must not be dropped.
+        let mut g = PropertyGraph::new();
+        let root = g.add_node("root", props! {});
+        let mids: Vec<NodeId> = (0..BATCH + 100)
+            .map(|_| g.add_node("mid", props! {}))
+            .collect();
+        for &m in &mids {
+            g.add_edge(root, m, "e", props! {}).unwrap();
+        }
+        g.add_edge(root, mids[0], "e", props! {}).unwrap(); // parallel edge
+        for w in mids.windows(2) {
+            g.add_edge(w[0], w[1], "e", props! {}).unwrap();
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x").with_label("root"));
+        let y = p.node(PatternNode::var("y"));
+        let z = p.node(PatternNode::var("z"));
+        p.edge(x, y, Some("e")).unwrap();
+        p.edge(y, z, Some("e")).unwrap();
+        let got = run(&fz, &p, 1);
+        assert_eq!(got.len(), BATCH + 99);
+        assert_eq!(
+            canonical(&got.to_bindings()),
+            canonical(&match_pattern(&fz, &p))
+        );
+    }
+
+    #[test]
+    fn par_vectorized_is_byte_identical_to_sequential() {
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let seq = run(&fz, &p, 1);
+        assert!(!seq.is_empty());
+        for workers in [2, 3, 4, 7] {
+            let par = run(&fz, &p, workers);
+            assert_eq!(par, seq, "workers={workers}: rows must match byte for byte");
+        }
+    }
+
+    #[test]
+    fn par_forced_morsels_on_tiny_graphs_stay_identical() {
+        let g = social(20);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let seq = run(&fz, &p, 1);
+        force_fanout(true);
+        let par = run(&fz, &p, 3);
+        force_fanout(false);
+        assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn par_vectorized_matches_reference_set() {
+        let g = social(150);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let par = run(&fz, &p, 4);
+        assert_eq!(
+            canonical(&par.to_bindings()),
+            canonical(&match_pattern(&fz, &p))
+        );
+    }
+
+    #[test]
+    fn par_pattern_reproduces_reference_bindings() {
+        let mut g = PropertyGraph::new();
+        let people: Vec<NodeId> = (0..12)
+            .map(|i| g.add_node("person", props! { "i" => i }))
+            .collect();
+        let hub = g.add_node("company", props! {});
+        for w in people.windows(2) {
+            g.add_edge(w[0], w[1], "knows", props! {}).unwrap();
+        }
+        for &p in people.iter().step_by(3) {
+            g.add_edge(p, hub, "works_at", props! {}).unwrap();
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x").with_label("person"));
+        let y = p.node(PatternNode::var("y").with_label("person"));
+        let c = p.node(PatternNode::var("c").with_label("company"));
+        p.edge(x, y, Some("knows")).unwrap();
+        p.edge(x, c, Some("works_at")).unwrap();
+
+        let reference = match_pattern(&fz, &p);
+        force_fanout(true);
+        for workers in [1, 2, 4, 7] {
+            let par = run(&fz, &p, workers);
+            assert_eq!(canonical(&par.to_bindings()), canonical(&reference));
+            assert_eq!(par.len(), reference.len());
+        }
+        force_fanout(false);
+    }
+
+    #[test]
+    fn par_pattern_spawn_path_matches_reference_on_a_simple_graph() {
+        // 80 unlabeled roots clear PAR_PATTERN_MIN_ROOTS, so this
+        // exercises the actual scoped-thread fan-out over a snapshot
+        // of a graph without node labels or properties.
+        let mut g = SimpleGraph::directed();
+        let nodes: Vec<NodeId> = (0..80).map(|_| g.add_node()).collect();
+        for i in 1..80 {
+            let label = if i % 3 == 0 { "a" } else { "b" };
+            g.add_labeled_edge(nodes[i], nodes[i / 2], label).unwrap();
+            g.add_labeled_edge(nodes[i], nodes[(i * 7) % i], "a")
+                .unwrap();
+        }
+        let fz = FrozenGraph::freeze(&g);
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x"));
+        let y = p.node(PatternNode::var("y"));
+        p.edge(x, y, Some("a")).unwrap();
+        let reference = match_pattern(&fz, &p);
+        assert!(!reference.is_empty());
+        for workers in [1, 2, 4, 7] {
+            let par = run(&fz, &p, workers);
+            assert_eq!(canonical(&par.to_bindings()), canonical(&reference));
+        }
+    }
+
+    #[test]
+    fn par_empty_and_impossible_patterns() {
+        let g = social(80);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        assert!(run(&fz, &Pattern::new(), 4).is_empty());
+        let mut p = Pattern::new();
+        p.node(PatternNode::var("x").with_label("unicorn"));
+        assert!(run(&fz, &p, 4).is_empty());
+    }
+
+    #[test]
+    fn par_governed_unlimited_equals_ungoverned() {
+        let g = social(150);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::unlimited();
+        let governed = run_governed(&fz, &p, 4, &guard).unwrap();
+        assert_eq!(governed, run(&fz, &p, 4));
+        assert!(guard.budget().node_visits() > 0, "workers settled charges");
+    }
+
+    #[test]
+    fn par_governed_budget_trips_with_merged_partial() {
+        let g = social(400);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(50));
+        let err = run_governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
+    }
+
+    #[test]
+    fn par_governed_deadline_and_cancel_trip() {
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
+        let err = run_governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Deadline));
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let guard = ExecutionGuard::with_cancel(Limits::none(), cancel);
+        let err = run_governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Cancelled));
+    }
+
+    #[test]
+    fn par_poisoned_morsel_falls_back_to_sequential() {
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let seq = run(&fz, &p, 1);
+        inject_worker_panic_once();
+        let par = run(&fz, &p, 4);
+        assert_eq!(par, seq, "panicking worker must not change the answer");
     }
 }

@@ -12,13 +12,14 @@
 
 use gdm_algo::analysis::{average_clustering, connected_components, triangle_count};
 use gdm_algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
+use gdm_algo::planned::auto_domains;
 use gdm_algo::summary::eccentricity;
 use gdm_algo::{
     bfs_order, bidirectional_shortest_path, degree_stats, diameter, distance,
     fixed_length_path_exists, frozen_regular_path_exists, graph_order, graph_size, is_reachable,
     k_neighborhood, nodes_adjacent, par_average_clustering, par_connected_components,
-    par_degree_stats, par_diameter, par_eccentricities, par_match_pattern, par_triangle_count,
-    regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    par_degree_stats, par_diameter, par_eccentricities, par_triangle_count, regular_path_exists,
+    shortest_path, FrozenGraph, LabelRegex,
 };
 use gdm_core::{Direction, GraphView, NodeId, PropertyMap, Value};
 use gdm_graphs::{PropertyGraph, SimpleGraph};
@@ -199,8 +200,7 @@ proptest! {
     }
 
     /// Pattern matching agrees between live attributed graphs, frozen
-    /// snapshots, and the prefiltered parallel matcher — with binding
-    /// lists compared verbatim (same order), not just canonically.
+    /// snapshots, and the frozen pattern executor at 1 and 4 workers.
     #[test]
     fn pattern_matching_agrees_on_property_graphs(
         n in 1usize..9,
@@ -246,11 +246,12 @@ proptest! {
         let live = match_pattern(&g, &pat);
         let frozen_seq = match_pattern(&fz, &pat);
         prop_assert_eq!(canonical(&live), canonical(&frozen_seq));
+        let domains = auto_domains(&fz, &pat);
         for threads in [1usize, 4] {
-            // Set equality: the parallel matcher batches seeds per
-            // partition, so row order may differ from the sequential
-            // matcher but the binding set must be identical.
-            let par = par_match_pattern(&fz, &pat, threads);
+            // Set equality: the executor binds in planned order, so row
+            // order may differ from the reference matcher but the
+            // binding set must be identical.
+            let par = gdm_algo::execute_pattern(&fz, &pat, &domains, threads, None).unwrap();
             prop_assert_eq!(canonical(&par.to_bindings()), canonical(&frozen_seq));
         }
     }

@@ -189,8 +189,15 @@ fn bench_frozen(c: &mut Criterion) {
         group.bench_function("frozen_seq", |b| {
             b.iter(|| black_box(gdm_algo::pattern::match_pattern(&pfz, &pattern).len()))
         });
+        let domains = gdm_algo::auto_domains(&pfz, &pattern);
         group.bench_function("frozen_par", |b| {
-            b.iter(|| black_box(gdm_algo::par_match_pattern(&pfz, &pattern, threads).len()))
+            b.iter(|| {
+                black_box(
+                    gdm_algo::execute_pattern(&pfz, &pattern, &domains, threads, None)
+                        .expect("ungoverned")
+                        .len(),
+                )
+            })
         });
     }
     group.finish();

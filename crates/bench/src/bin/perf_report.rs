@@ -402,6 +402,32 @@ fn main() {
             frozen_ops_s: ops_s(frozen_comp),
             parallel_ops_s: Some(ops_s(par_comp)),
         });
+        // Every pattern cell must return the reference matcher's match
+        // count before its time is recorded: a fast wrong answer must
+        // not post a number.
+        let want = gdm_algo::pattern::match_pattern(&pfz, &pattern).len();
+        let check = |cell: &str, got: usize| {
+            assert_eq!(
+                got, want,
+                "{cell} pattern cell returned {got} matches, reference {want}"
+            );
+        };
+        let domains = gdm_algo::auto_domains(&pfz, &pattern);
+        let executor = |workers: usize| {
+            gdm_algo::execute_pattern(&pfz, &pattern, &domains, workers, None).expect("ungoverned")
+        };
+        check("live", pe.pattern_match(&pattern).expect("supported"));
+        check("frozen (1 worker)", executor(1).len());
+        check("frozen (N workers)", executor(threads).len());
+        // The planned (row-at-a-time) matcher serves views without a
+        // CSR snapshot, so it runs on the live workload graph.
+        let planned = || {
+            gdm_algo::match_pattern_auto(&graph, &pattern, None)
+                .expect("ungoverned")
+                .len()
+        };
+        check("planned", planned());
+
         let live_pat = time_us(
             || {
                 black_box(pe.pattern_match(&pattern).expect("supported"));
@@ -409,19 +435,16 @@ fn main() {
             comp_iters,
         );
         // The frozen cell measures the execution path a snapshot query
-        // actually takes — the planner routes frozen inputs to the
-        // vectorized batch executor. (The unplanned reference matcher
-        // stays the correctness oracle in tests; its per-row HashMap
-        // bindings are not the serving path.)
+        // actually takes: the vectorized executor at one worker.
         let frozen_pat = time_us(
             || {
-                black_box(gdm_algo::match_pattern_vectorized_auto(&pfz, &pattern).len());
+                black_box(executor(1).len());
             },
             comp_iters,
         );
         let par_pat = time_us(
             || {
-                black_box(gdm_algo::par_match_pattern(&pfz, &pattern, threads).len());
+                black_box(executor(threads).len());
             },
             comp_iters,
         );
@@ -443,18 +466,19 @@ fn main() {
             ops_s(live_pat),
         );
 
-        // Same pattern through the cost-based planner: selectivity
-        // ordering plus the flat MatchTable (no per-match hash maps).
+        // Same pattern through the row-at-a-time planned matcher on the
+        // live workload graph (selectivity ordering plus the flat
+        // MatchTable), beside the one-worker executor on the snapshot.
         let planned_pat = time_us(
             || {
-                black_box(gdm_algo::planned::match_pattern_auto(&pfz, &pattern).len());
+                black_box(planned());
             },
             comp_iters,
         );
         rows.push(Row {
             name: "pattern_planned",
-            live_ops_s: None,
-            frozen_ops_s: ops_s(planned_pat),
+            live_ops_s: Some(ops_s(planned_pat)),
+            frozen_ops_s: ops_s(frozen_pat),
             parallel_ops_s: None,
         });
 
@@ -463,7 +487,7 @@ fn main() {
         // is what the planner actually runs on frozen snapshots.
         let vectorized_pat = time_us(
             || {
-                black_box(gdm_algo::match_pattern_vectorized_auto(&pfz, &pattern).len());
+                black_box(executor(1).len());
             },
             comp_iters,
         );
@@ -474,13 +498,13 @@ fn main() {
             parallel_ops_s: None,
         });
 
-        // The morsel-driven parallel executor over the same vectorized
-        // pipeline (DESIGN.md §15). The frozen cell repeats the
-        // sequential vectorized baseline so the row is self-contained:
-        // parallel/frozen within this row is the executor's speedup.
+        // The same executor fanned out across the worker pool
+        // (DESIGN.md §15). The frozen cell repeats the one-worker
+        // baseline so the row is self-contained: parallel/frozen
+        // within this row is the executor's speedup.
         let par_vec_pat = time_us(
             || {
-                black_box(gdm_algo::match_pattern_par_vectorized(&pfz, &pattern, threads).len());
+                black_box(executor(threads).len());
             },
             comp_iters,
         );
@@ -494,8 +518,7 @@ fn main() {
         // machine; the speedup claim only holds where there are cores
         // to speed up on, so it gates on real parallelism.
         assert!(
-            gdm_algo::match_pattern_par_vectorized(&pfz, &pattern, threads)
-                == gdm_algo::match_pattern_vectorized_auto(&pfz, &pattern),
+            executor(threads) == executor(1),
             "parallel vectorized match must be byte-identical to sequential vectorized",
         );
         if gdm_algo::default_threads() > 1 && threads > 1 {

@@ -396,7 +396,7 @@ impl GraphEngine for AllegroEngine {
         // SPARQL *is* graph pattern matching; the structural probe
         // runs the planned matcher over the triple view, seeding
         // constrained variables from whatever indexes it exposes.
-        Ok(match_pattern_auto(&self.rdf, pattern).len())
+        Ok(match_pattern_auto(&self.rdf, pattern, None)?.len())
     }
 
     fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {

@@ -330,17 +330,11 @@ pub trait GraphEngine {
         match op {
             GovernedOp::PatternMatch(pattern) => {
                 // The snapshot is a concrete CSR graph, so governed
-                // pattern matching runs the vectorized batch executor
+                // pattern matching runs the vectorized morsel executor
                 // (guard ticked per batch, same `Interrupted`
-                // semantics, same rows as the planned matcher) —
-                // morsel-parallel across the executor worker pool when
-                // more than one core is available.
-                let table = gdm_algo::match_pattern_par_vectorized_governed(
-                    &fz,
-                    pattern,
-                    gdm_algo::executor_workers(),
-                    guard,
-                )?;
+                // semantics, same rows as the planned matcher) across
+                // the executor worker pool.
+                let table = gdm_algo::match_pattern_auto(&fz, pattern, Some(guard))?;
                 Ok(GovernedAnswer::Matches(table.len()))
             }
             GovernedOp::ShortestPath(a, b) => Ok(GovernedAnswer::Path(

@@ -25,9 +25,7 @@
 
 use crate::ast::{BinOp, Expr, SelectQuery};
 use crate::eval::{finish_select, ResultSet};
-use gdm_algo::planned::{
-    domain_estimates, domains_consistent, match_pattern_planned, planned_order, Domains, MatchTable,
-};
+use gdm_algo::planned::{domain_estimates, execute_pattern, planned_order, Domains};
 use gdm_algo::Pattern;
 use gdm_core::{AttributedView, GdmError, Result, Value};
 
@@ -349,88 +347,42 @@ pub fn evaluate_select_planned<G: AttributedView + ?Sized>(
     query: &SelectQuery,
 ) -> Result<(ResultSet, ExplainPlan)> {
     let planned = plan_select(g, query)?;
-    // Degradation ladder: a secondary index that has drifted from the
-    // graph (dangling candidate ids) must not silently drop or invent
-    // rows — discard the index seeding and run the reference matcher.
-    let table = if domains_consistent(g, &planned.domains) {
-        // Frozen serving snapshots execute through the vectorized
-        // batch pipeline (same rows as the planned matcher, CSR-array
-        // speed) — morsel-parallel when the plan recorded more than
-        // one worker; row-at-a-time views take the planned matcher.
-        match batch_snapshot(g) {
-            Some(fz) if planned.explain.parallel_workers > 1 => {
-                gdm_algo::match_pattern_par_vectorized_domains(
-                    fz,
-                    &planned.query.pattern,
-                    &planned.domains,
-                    planned.explain.parallel_workers,
-                )
-            }
-            Some(fz) => {
-                gdm_algo::match_pattern_vectorized(fz, &planned.query.pattern, &planned.domains)
-            }
-            None => match_pattern_planned(g, &planned.query.pattern, &planned.domains),
-        }
-    } else {
-        MatchTable::from_bindings(
-            &planned.query.pattern,
-            &gdm_algo::match_pattern(g, &planned.query.pattern),
-        )
-    };
+    let table = execute_pattern(
+        g,
+        &planned.query.pattern,
+        &planned.domains,
+        planned.explain.parallel_workers,
+        None,
+    )?;
     let rs = finish_select(g, &planned.query, table.to_bindings())?;
     Ok((rs, planned.explain))
 }
 
-/// Executes an already-planned query under an [`ExecutionGuard`] — the
-/// entry point for plan-cache consumers (a query server) that plan
-/// once and execute many times against an immutable snapshot.
+/// Executes an already-planned query under an
+/// [`gdm_govern::ExecutionGuard`] — the entry point for plan-cache
+/// consumers (a query server) that plan once and execute many times
+/// against an immutable snapshot.
 ///
-/// The same degradation ladder as [`evaluate_select_planned`] applies:
-/// the cached domains are re-probed against `g` and, if any candidate
-/// id dangles (the plan was made against a different or since-mutated
-/// graph), discarded in favour of the governed reference matcher —
-/// slower, never wrong. Rows are identical to
-/// [`evaluate_select_planned`]'s when the guard does not interrupt.
+/// The same degradation ladder as [`evaluate_select_planned`] applies
+/// ([`gdm_algo::execute_pattern`]): the cached domains are re-probed
+/// against `g` and, if any candidate id dangles (the plan was made
+/// against a different or since-mutated graph), discarded in favour of
+/// the governed reference matcher — slower, never wrong. Frozen
+/// snapshots run with the workers the plan recorded. Rows are
+/// identical to [`evaluate_select_planned`]'s when the guard does not
+/// interrupt.
 pub fn execute_planned_governed<G: AttributedView + ?Sized>(
     g: &G,
     planned: &PlannedSelect,
     guard: &gdm_govern::ExecutionGuard,
 ) -> Result<ResultSet> {
-    let table = if domains_consistent(g, &planned.domains) {
-        match batch_snapshot(g) {
-            // The vectorized pipeline ticks the guard once per batch
-            // (`ExecutionGuard::nodes`/`rows`), preserving the same
-            // structured `Interrupted` semantics at lower overhead;
-            // multi-worker plans run it morsel-parallel with per-worker
-            // guard batching (same semantics, merged partials).
-            Some(fz) if planned.explain.parallel_workers > 1 => {
-                gdm_algo::match_pattern_par_vectorized_domains_governed(
-                    fz,
-                    &planned.query.pattern,
-                    &planned.domains,
-                    planned.explain.parallel_workers,
-                    guard,
-                )?
-            }
-            Some(fz) => gdm_algo::match_pattern_vectorized_governed(
-                fz,
-                &planned.query.pattern,
-                &planned.domains,
-                guard,
-            )?,
-            None => gdm_algo::planned::match_pattern_planned_governed(
-                g,
-                &planned.query.pattern,
-                &planned.domains,
-                guard,
-            )?,
-        }
-    } else {
-        MatchTable::from_bindings(
-            &planned.query.pattern,
-            &gdm_algo::match_pattern_governed(g, &planned.query.pattern, guard)?,
-        )
-    };
+    let table = execute_pattern(
+        g,
+        &planned.query.pattern,
+        &planned.domains,
+        planned.explain.parallel_workers,
+        Some(guard),
+    )?;
     finish_select(g, &planned.query, table.to_bindings())
 }
 

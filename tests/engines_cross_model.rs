@@ -231,7 +231,7 @@ fn property_predicate_served_through_every_snapshot() {
         let snap = l.engine.serving_snapshot().unwrap();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("community", 0i64));
-        let served = graph_db_models::algo::match_pattern_vectorized_auto(&snap.frozen, &p);
+        let served = graph_db_models::algo::match_pattern_auto(&snap.frozen, &p, None).unwrap();
         let want = if attributed { expected } else { 0 };
         assert_eq!(
             served.len(),

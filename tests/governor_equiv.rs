@@ -13,7 +13,7 @@
 //!    of the nine emulated engines.
 
 use graph_db_models::algo::pattern::{match_pattern, match_pattern_governed, PatternNode};
-use graph_db_models::algo::planned::{match_pattern_auto, match_pattern_auto_governed};
+use graph_db_models::algo::planned::match_pattern_auto;
 use graph_db_models::algo::regular::{
     regular_path_exists, regular_path_exists_governed, LabelRegex,
 };
@@ -69,8 +69,8 @@ proptest! {
         let governed = match_pattern_governed(&g, &pattern, &guard).unwrap();
         prop_assert_eq!(&plain, &governed);
 
-        let auto = match_pattern_auto(&g, &pattern);
-        let auto_governed = match_pattern_auto_governed(&g, &pattern, &guard).unwrap();
+        let auto = match_pattern_auto(&g, &pattern, None).unwrap();
+        let auto_governed = match_pattern_auto(&g, &pattern, Some(&guard)).unwrap();
         prop_assert_eq!(auto.to_bindings(), auto_governed.to_bindings());
 
         let regex = LabelRegex::compile("(a|b)*c?").unwrap();
@@ -194,94 +194,16 @@ fn tiny_budget_interrupts_diameter_on_every_engine() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Governed-vectorized gauntlet: the batch executor charges the guard
-/// once per candidate batch, so it must (a) equal its ungoverned twin
-/// under an unlimited guard, (b) return the structured `Interrupted`
-/// (with the partial row count) under deadline, budget, and row
-/// limits, and (c) leave partial progress observable, exactly like the
-/// row-at-a-time matchers it replaces.
+/// Governed-vectorized gauntlet: the batch executor at one worker
+/// charges the guard once per candidate batch, so it must (a) equal
+/// its ungoverned run under an unlimited guard, (b) return the
+/// structured `Interrupted` (with the partial row count) under
+/// deadline, budget, and row limits, and (c) leave partial progress
+/// observable, exactly like the row-at-a-time matchers.
 #[test]
 fn governed_vectorized_budget_and_deadline_gauntlet() {
-    use graph_db_models::algo::{
-        match_pattern_vectorized_auto, match_pattern_vectorized_auto_governed, FrozenGraph,
-    };
-    use graph_db_models::core::{GdmError, InterruptReason};
-
-    let people = social_graph(SocialParams {
-        people: 300,
-        communities: 4,
-        intra_edges: 4,
-        inter_edges: 1,
-        seed: 7,
-    });
-    let fz = FrozenGraph::freeze_attributed(&people);
-    let mut pattern = Pattern::new();
-    let a = pattern.node(PatternNode::var("a").with_label("person"));
-    let b = pattern.node(PatternNode::var("b"));
-    let c = pattern.node(PatternNode::var("c"));
-    pattern.edge(a, b, Some("knows")).unwrap();
-    pattern.edge(b, c, Some("knows")).unwrap();
-
-    // (a) Unlimited guard: same binding set as the ungoverned run.
-    let plain = match_pattern_vectorized_auto(&fz, &pattern);
-    let governed =
-        match_pattern_vectorized_auto_governed(&fz, &pattern, &ExecutionGuard::unlimited())
-            .unwrap();
-    assert_eq!(plain.to_bindings(), governed.to_bindings());
-    assert!(!plain.is_empty(), "workload has 2-hop chains");
-
-    // (b) Each limit family interrupts with its own structured reason.
-    let cases: [(Limits, InterruptReason); 3] = [
-        (
-            Limits::none().with_deadline(Duration::from_millis(0)),
-            InterruptReason::Deadline,
-        ),
-        (Limits::none().with_node_visits(5), InterruptReason::Budget),
-        (Limits::none().with_rows(1), InterruptReason::Budget),
-    ];
-    for (limits, want) in cases {
-        let guard = ExecutionGuard::new(limits);
-        let err = match_pattern_vectorized_auto_governed(&fz, &pattern, &guard).unwrap_err();
-        match err {
-            GdmError::Interrupted { reason, partial } => {
-                assert_eq!(reason, want);
-                assert!(
-                    (partial as usize) <= plain.len(),
-                    "partial rows cannot exceed the full result"
-                );
-            }
-            other => panic!("expected structured Interrupted, got {other}"),
-        }
-    }
-
-    // (c) A row limit trips *after* emitting rows up to the cap: the
-    // partial count in the error equals the limit.
-    let guard = ExecutionGuard::new(Limits::none().with_rows(3));
-    match match_pattern_vectorized_auto_governed(&fz, &pattern, &guard).unwrap_err() {
-        GdmError::Interrupted { partial, .. } => {
-            assert!(
-                partial >= 3,
-                "rows up to the cap were produced, got {partial}"
-            )
-        }
-        other => panic!("expected Interrupted, got {other}"),
-    }
-}
-
-/// The same gauntlet for the morsel-driven parallel executor, forced
-/// onto multiple workers so the guard really is shared across threads
-/// (a single-core CI machine must not silently skip the interesting
-/// path): (a) byte-identical to the sequential vectorized run under an
-/// unlimited guard, (b) structured `Interrupted` with the right reason
-/// under each limit family, with the partial count reflecting rows
-/// settled across *all* workers, and (c) a panic-injected morsel
-/// degrades to the sequential rerun without changing the answer.
-#[test]
-fn governed_par_vectorized_gauntlet_under_forced_workers() {
-    use graph_db_models::algo::par_vectorized::match_pattern_par_vectorized_forced;
-    use graph_db_models::algo::parallel::inject_worker_panic_once;
-    use graph_db_models::algo::planned::auto_domains;
-    use graph_db_models::algo::{match_pattern_vectorized_auto, FrozenGraph};
+    use graph_db_models::algo::planned::{auto_domains, execute_pattern};
+    use graph_db_models::algo::FrozenGraph;
     use graph_db_models::core::{GdmError, InterruptReason};
 
     let people = social_graph(SocialParams {
@@ -299,13 +221,93 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     pattern.edge(a, b, Some("knows")).unwrap();
     pattern.edge(b, c, Some("knows")).unwrap();
     let domains = auto_domains(&fz, &pattern);
+    let sequential =
+        |guard: Option<&ExecutionGuard>| execute_pattern(&fz, &pattern, &domains, 1, guard);
+
+    // (a) Unlimited guard: same binding set as the ungoverned run.
+    let plain = sequential(None).unwrap();
+    let governed = sequential(Some(&ExecutionGuard::unlimited())).unwrap();
+    assert_eq!(plain.to_bindings(), governed.to_bindings());
+    assert!(!plain.is_empty(), "workload has 2-hop chains");
+
+    // (b) Each limit family interrupts with its own structured reason.
+    let cases: [(Limits, InterruptReason); 3] = [
+        (
+            Limits::none().with_deadline(Duration::from_millis(0)),
+            InterruptReason::Deadline,
+        ),
+        (Limits::none().with_node_visits(5), InterruptReason::Budget),
+        (Limits::none().with_rows(1), InterruptReason::Budget),
+    ];
+    for (limits, want) in cases {
+        let guard = ExecutionGuard::new(limits);
+        let err = sequential(Some(&guard)).unwrap_err();
+        match err {
+            GdmError::Interrupted { reason, partial } => {
+                assert_eq!(reason, want);
+                assert!(
+                    (partial as usize) <= plain.len(),
+                    "partial rows cannot exceed the full result"
+                );
+            }
+            other => panic!("expected structured Interrupted, got {other}"),
+        }
+    }
+
+    // (c) A row limit trips *after* emitting rows up to the cap: the
+    // partial count in the error equals the limit.
+    let guard = ExecutionGuard::new(Limits::none().with_rows(3));
+    match sequential(Some(&guard)).unwrap_err() {
+        GdmError::Interrupted { partial, .. } => {
+            assert!(
+                partial >= 3,
+                "rows up to the cap were produced, got {partial}"
+            )
+        }
+        other => panic!("expected Interrupted, got {other}"),
+    }
+}
+
+/// The same gauntlet for the executor fanned out across workers,
+/// forced onto multiple workers so the guard really is shared across
+/// threads (a single-core CI machine must not silently skip the
+/// interesting path): (a) byte-identical to the one-worker run under
+/// an unlimited guard, (b) structured `Interrupted` with the right
+/// reason under each limit family, with the partial count reflecting
+/// rows settled across *all* workers, and (c) a panic-injected worker
+/// degrades to the inline rerun without changing the answer.
+#[test]
+fn governed_par_vectorized_gauntlet_under_forced_workers() {
+    use graph_db_models::algo::parallel::{force_fanout, inject_worker_panic_once};
+    use graph_db_models::algo::planned::{auto_domains, execute_pattern};
+    use graph_db_models::algo::FrozenGraph;
+    use graph_db_models::core::{GdmError, InterruptReason};
+
+    let people = social_graph(SocialParams {
+        people: 300,
+        communities: 4,
+        intra_edges: 4,
+        inter_edges: 1,
+        seed: 7,
+    });
+    let fz = FrozenGraph::freeze_attributed(&people);
+    let mut pattern = Pattern::new();
+    let a = pattern.node(PatternNode::var("a").with_label("person"));
+    let b = pattern.node(PatternNode::var("b"));
+    let c = pattern.node(PatternNode::var("c"));
+    pattern.edge(a, b, Some("knows")).unwrap();
+    pattern.edge(b, c, Some("knows")).unwrap();
+    let domains = auto_domains(&fz, &pattern);
+    force_fanout(true);
+    let run = |workers: usize, guard: Option<&ExecutionGuard>| {
+        execute_pattern(&fz, &pattern, &domains, workers, guard)
+    };
 
     // (a) Unlimited guard, 4 forced workers: byte-identical table.
-    let plain = match_pattern_vectorized_auto(&fz, &pattern);
+    let plain = run(1, None).unwrap();
     assert!(!plain.is_empty(), "workload has 2-hop chains");
     let unlimited = ExecutionGuard::unlimited();
-    let par =
-        match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&unlimited)).unwrap();
+    let par = run(4, Some(&unlimited)).unwrap();
     assert_eq!(par, plain, "parallel result must match byte-for-byte");
 
     // (b) Each limit family interrupts with its structured reason even
@@ -321,8 +323,7 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     ];
     for (limits, want) in cases {
         let guard = ExecutionGuard::new(limits);
-        let err = match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&guard))
-            .unwrap_err();
+        let err = run(4, Some(&guard)).unwrap_err();
         match err {
             GdmError::Interrupted { reason, partial } => {
                 assert_eq!(reason, want);
@@ -339,17 +340,17 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     // workers see the flag at their next guard check.
     let guard = ExecutionGuard::unlimited();
     guard.cancel_token().cancel();
-    let err =
-        match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&guard)).unwrap_err();
+    let err = run(4, Some(&guard)).unwrap_err();
     assert!(err.is_interrupted(), "cancel must interrupt, got {err}");
 
-    // (c) A panic injected into one worker poisons its morsel; the
-    // executor discards the parallel attempt and reruns sequentially,
-    // so the caller still gets the full, correct table.
+    // (c) A panic injected into one worker poisons its morsels; the
+    // executor discards the parallel attempt and reruns inline, so the
+    // caller still gets the full, correct table.
     inject_worker_panic_once();
-    let recovered = match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, None).unwrap();
+    let recovered = run(4, None).unwrap();
     assert_eq!(
         recovered, plain,
         "a poisoned morsel must degrade to the sequential answer, not change it"
     );
+    force_fanout(false);
 }

@@ -13,12 +13,10 @@
 //!    sequence, must answer exactly like an index rebuilt from scratch
 //!    over the surviving nodes — and both must agree with a raw scan.
 
+use graph_db_models::algo::parallel::force_fanout;
 use graph_db_models::algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
-use graph_db_models::algo::planned::{auto_domains, match_pattern_auto, match_pattern_planned};
-use graph_db_models::algo::{
-    match_pattern_vectorized, match_pattern_vectorized_auto,
-    match_pattern_vectorized_auto_governed, FrozenGraph,
-};
+use graph_db_models::algo::planned::{auto_domains, execute_pattern, match_pattern_auto};
+use graph_db_models::algo::FrozenGraph;
 use graph_db_models::core::{props, AttributedView, GraphView, NodeId, Value};
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::eval::{evaluate_select, evaluate_select_unplanned};
@@ -151,10 +149,11 @@ fn pattern_strategy() -> impl Strategy<Value = (Vec<VarSpec>, Vec<PatternEdgeSpe
 }
 
 proptest! {
-    /// Invariant 1 at the matcher level: the auto-planned matcher (on
-    /// the live graph and on its CSR snapshot), an explicit-domain
-    /// run, and the vectorized batch executor (auto, explicit-domain,
-    /// and governed-with-no-limits) all reproduce the unplanned
+    /// Invariant 1 at the matcher level: the single pattern entry point
+    /// on the live graph (the row-at-a-time planned matcher, auto- and
+    /// explicitly seeded) and on its CSR snapshot (the vectorized
+    /// executor: auto-seeded, explicitly seeded, governed-with-no-limits,
+    /// and across forced worker fan-outs) all reproduce the unplanned
     /// binding set.
     #[test]
     fn planned_matcher_equals_unplanned(
@@ -164,50 +163,43 @@ proptest! {
         let p = build_pattern(&vars, &edges);
         let reference = canonical(&match_pattern(&g, &p));
 
-        let auto = match_pattern_auto(&g, &p);
+        let auto = match_pattern_auto(&g, &p, None).expect("ungoverned");
         prop_assert_eq!(canonical(&auto.to_bindings()), reference.clone());
 
         let domains = auto_domains(&g, &p);
-        let planned = match_pattern_planned(&g, &p, &domains);
+        let planned = execute_pattern(&g, &p, &domains, 1, None).expect("ungoverned");
         prop_assert_eq!(canonical(&planned.to_bindings()), reference.clone());
-
-        let fz = FrozenGraph::freeze_attributed(&g);
-        let frozen = match_pattern_auto(&fz, &p);
-        prop_assert_eq!(canonical(&frozen.to_bindings()), reference.clone());
 
         // Vectorized ≡ planned ≡ unplanned: the batch executor run
         // three ways — auto-seeded, with explicitly supplied domains
         // (seeded on the *snapshot*, so dense translation is covered),
         // and under an unlimited guard (per-batch governor ticks must
         // not change the result).
-        let vec_auto = match_pattern_vectorized_auto(&fz, &p);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let vec_auto = match_pattern_auto(&fz, &p, None).expect("ungoverned");
         prop_assert_eq!(canonical(&vec_auto.to_bindings()), reference.clone());
 
         let fz_domains = auto_domains(&fz, &p);
-        let vec_explicit = match_pattern_vectorized(&fz, &p, &fz_domains);
+        let vec_explicit = execute_pattern(&fz, &p, &fz_domains, 1, None).expect("ungoverned");
         prop_assert_eq!(canonical(&vec_explicit.to_bindings()), reference.clone());
 
         let guard = graph_db_models::govern::ExecutionGuard::unlimited();
-        let vec_governed = match_pattern_vectorized_auto_governed(&fz, &p, &guard)
+        let vec_governed = execute_pattern(&fz, &p, &fz_domains, 1, Some(&guard))
             .expect("unlimited guard never interrupts");
         prop_assert_eq!(canonical(&vec_governed.to_bindings()), reference);
 
-        // Morsel-driven parallel executor ≡ vectorized, and not just
-        // set-equal: the tables must be *byte-identical* (same rows in
-        // the same order). The forced entry point skips the
-        // minimum-root-count threshold so these tiny graphs really do
-        // split into per-worker morsels, even on a single-core machine.
-        let par_forced =
-            graph_db_models::algo::par_vectorized::match_pattern_par_vectorized_forced(
-                &fz, &p, &fz_domains, 3, None,
-            )
-            .expect("ungoverned run never interrupts");
-        prop_assert_eq!(&par_forced, &vec_explicit);
-
-        // The public auto-seeded entry point (what the facade and the
-        // planner call) agrees with its sequential counterpart too.
-        let par_auto = graph_db_models::algo::match_pattern_par_vectorized(&fz, &p, 2);
-        prop_assert_eq!(&par_auto, &vec_auto);
+        // One worker ≡ N workers, and not just set-equal: the tables
+        // must be *byte-identical* (same rows in the same order). The
+        // forced fan-out skips the minimum-root-count threshold so these
+        // tiny graphs really do split into per-worker morsels, even on
+        // a single-core machine.
+        force_fanout(true);
+        for workers in [2, 3] {
+            let par = execute_pattern(&fz, &p, &fz_domains, workers, None)
+                .expect("ungoverned run never interrupts");
+            prop_assert_eq!(&par, &vec_explicit);
+        }
+        force_fanout(false);
     }
 }
 
@@ -296,6 +288,57 @@ proptest! {
 /// down: the plan must *say* it seeded from the ordered index, strict
 /// bounds must stay exact despite the index's inclusive ranges, and a
 /// between-shaped conjunct pair must intersect to one domain.
+/// Boundary regression for the frozen executor: on the perf-report
+/// workload (`x-knows->y-knows->z` over the seed-2012 social graph)
+/// every size below overflows a 1024-row batch in the middle of a
+/// source row's expansion, so the child depth runs while the parent
+/// row is still open. The executor must return exactly the reference
+/// binding set at 1 worker, and the same table byte for byte at 2 and
+/// 4 workers (whose morsels split the root seeds).
+#[test]
+fn executor_agrees_with_reference_across_batch_overflow() {
+    use graph_db_models::bench::workload::{social_graph, SocialParams};
+    let mut p = Pattern::new();
+    let x = p.node(PatternNode::var("x"));
+    let y = p.node(PatternNode::var("y"));
+    let z = p.node(PatternNode::var("z"));
+    p.edge(x, y, Some("knows")).unwrap();
+    p.edge(y, z, Some("knows")).unwrap();
+    let sorted_rows = |rows: Vec<Vec<NodeId>>| {
+        let mut rows = rows;
+        rows.sort_unstable();
+        rows
+    };
+    for people in [300, 1000, 3000] {
+        let g = social_graph(SocialParams {
+            people,
+            communities: 10,
+            intra_edges: 6,
+            inter_edges: 2,
+            seed: 2012,
+        });
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let reference = sorted_rows(
+            match_pattern(&fz, &p)
+                .iter()
+                .map(|b| vec![b["x"], b["y"], b["z"]])
+                .collect(),
+        );
+        let domains = auto_domains(&fz, &p);
+        let one = execute_pattern(&fz, &p, &domains, 1, None).unwrap();
+        assert!(
+            sorted_rows(one.rows().map(<[NodeId]>::to_vec).collect()) == reference,
+            "{people} people, 1 worker: {} rows, reference {}",
+            one.len(),
+            reference.len()
+        );
+        for workers in [2, 4] {
+            let par = execute_pattern(&fz, &p, &domains, workers, None).unwrap();
+            assert!(par == one, "{people} people, {workers} workers");
+        }
+    }
+}
+
 #[test]
 fn range_predicates_seed_ordered_indexes() {
     let mut g = PropertyGraph::new();
