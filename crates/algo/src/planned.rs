@@ -67,6 +67,15 @@ impl MatchTable {
         self.data.chunks_exact(self.vars.len().max(1))
     }
 
+    /// Match `i` as a node-id row aligned with [`Self::vars`].
+    ///
+    /// # Panics
+    /// When `i >= self.len()`.
+    pub fn row(&self, i: usize) -> &[NodeId] {
+        let w = self.vars.len();
+        &self.data[i * w..(i + 1) * w]
+    }
+
     /// Converts to the unplanned API's binding maps.
     pub fn to_bindings(&self) -> Vec<Binding> {
         self.rows()

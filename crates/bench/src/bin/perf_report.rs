@@ -561,6 +561,66 @@ fn main() {
             parallel_ops_s: None,
         });
     }
+    // ---- served select: plan, execute and finish on the snapshot ------
+    //
+    // The whole query a server runs for the served benchmark's two
+    // two-hop shapes: the executor's match table filtered, grouped,
+    // ordered and projected into rows. The frozen cell plans for one
+    // worker; the parallel cell is `evaluate_select_planned` with the
+    // worker pool. Both must return exactly the unplanned reference's
+    // rows on the live graph before they are timed.
+    {
+        let sfz = gdm_algo::FrozenGraph::freeze_attributed(&graph);
+        let two_hop = "MATCH (a:person)-[:knows]->(b:person)-[:knows]->(c:person)";
+        for (name, text) in [
+            (
+                "select_2hop_grouped",
+                format!("{two_hop} RETURN c.community, count(*)"),
+            ),
+            (
+                "select_2hop_community",
+                format!("{two_hop} WHERE a.community = 3 RETURN c.name"),
+            ),
+        ] {
+            let gdm_query::cypher::CypherStatement::Select(q) =
+                gdm_query::cypher::parse(&text).expect("parses")
+            else {
+                unreachable!("a MATCH text is a read query");
+            };
+            let want = gdm_query::evaluate_select_unplanned(&graph, &q).expect("evaluates");
+            let mut one_worker = gdm_query::plan_select(&sfz, &q).expect("plans");
+            one_worker.explain.parallel_workers = 1;
+            let guard = ExecutionGuard::unlimited();
+            let sequential = || {
+                gdm_query::execute_planned_governed(&sfz, &one_worker, &guard).expect("ungoverned")
+            };
+            let served = || {
+                gdm_query::evaluate_select_planned(&sfz, &q)
+                    .expect("evaluates")
+                    .0
+            };
+            assert!(sequential() == want, "{name}: 1-worker rows differ");
+            assert!(served() == want, "{name}: served rows differ");
+            let frozen_us = time_us(
+                || {
+                    black_box(sequential().len());
+                },
+                comp_iters,
+            );
+            let served_us = time_us(
+                || {
+                    black_box(served().len());
+                },
+                comp_iters,
+            );
+            rows.push(Row {
+                name,
+                live_ops_s: None,
+                frozen_ops_s: ops_s(frozen_us),
+                parallel_ops_s: Some(ops_s(served_us)),
+            });
+        }
+    }
     // ---- snapshot refresh: O(changes) re-freeze vs full rebuild -------
     //
     // The serving story (DESIGN.md §14): a mutation batch of ≤1% of the

@@ -1,17 +1,31 @@
 //! Evaluates the shared logical algebra over any attributed graph.
 //!
-//! The pipeline: match the fixed pattern (VF2 from `gdm-algo`), expand
-//! variable-length path constraints (label-filtered BFS in the hop
-//! range), filter, project (row or aggregate), order, skip, limit.
+//! The pipeline: match the fixed pattern (the executor or the VF2
+//! reference matcher from `gdm-algo`), then finish the result straight
+//! off the executor's [`MatchTable`] — dense node-id rows, one column
+//! per pattern variable. The finishing stage works on row indices:
+//! expand variable-length path constraints (label-filtered BFS in the
+//! hop range), filter, sort into canonical order, project (row or
+//! aggregate), de-duplicate, order, skip, limit. Each variable is
+//! resolved to its column once per query, and expressions read node
+//! ids straight from the row; no per-row binding map is built.
+//!
+//! The canonical order compares rows by their raw node ids, column by
+//! column, with the columns taken in variable-name order. It is a total
+//! order on the match set, so every path produces byte-identical rows
+//! however its matches were found.
+//!
 //! Bare variables project as node ids; `var.key` projects the bound
 //! node's property; the pseudo-properties `id`, `label`, and `degree`
 //! are always available (the paper's engines all expose them through
 //! their APIs).
 
 use crate::ast::{BinOp, Expr, Projection, SelectQuery};
-use gdm_algo::pattern::{match_pattern, Binding};
-use gdm_algo::summary::aggregate;
+use gdm_algo::pattern::match_pattern;
+use gdm_algo::summary::{aggregate, Aggregate};
+use gdm_algo::MatchTable;
 use gdm_core::{AttributedView, FxHashSet, GdmError, NodeId, Result, Value};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// A tabular query result.
@@ -90,42 +104,58 @@ pub fn evaluate_select_unplanned<G: AttributedView + ?Sized>(
     query.validate()?;
     // 1. Fixed pattern.
     let bindings = match_pattern(g, &query.pattern);
-    finish_select(g, query, bindings)
+    finish_select(
+        g,
+        query,
+        &MatchTable::from_bindings(&query.pattern, &bindings),
+    )
 }
 
 /// Steps 2–7 of the pipeline, shared by the planned and unplanned
-/// paths: var-length paths, filter, deterministic sort, projection,
-/// distinct, order, skip/limit. The deterministic sort guarantees both
-/// paths produce byte-identical row order regardless of how the
-/// bindings were found.
+/// paths: var-length paths, filter, canonical sort, projection,
+/// distinct, order, skip/limit. Every step works on row indices into
+/// `table`; expressions read node ids straight from the row. The
+/// canonical sort guarantees every path produces byte-identical row
+/// order regardless of how the matches were found.
 pub(crate) fn finish_select<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
-    mut bindings: Vec<Binding>,
+    table: &MatchTable,
 ) -> Result<ResultSet> {
+    let vars = table.vars();
+    let mut rows: Vec<usize> = (0..table.len()).collect();
     // 2. Variable-length path constraints.
     for vp in &query.var_paths {
-        bindings.retain(|b| {
-            let from = b[&vp.from];
-            let to = b[&vp.to];
-            within_hops(g, from, to, vp.label.as_deref(), vp.min, vp.max)
+        let (from, to) = (column(vars, &vp.from)?, column(vars, &vp.to)?);
+        rows.retain(|&r| {
+            let row = table.row(r);
+            within_hops(g, row[from], row[to], vp.label.as_deref(), vp.min, vp.max)
         });
     }
     // 3. Filter.
     if let Some(filter) = &query.filter {
-        let mut kept = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            if eval_expr(g, &b, filter)?.as_bool().unwrap_or(false) {
-                kept.push(b);
+        let filter = RowExpr::resolve(filter, vars)?;
+        let mut kept = Vec::with_capacity(rows.len());
+        for r in rows {
+            if filter.eval(g, table.row(r))?.as_bool().unwrap_or(false) {
+                kept.push(r);
             }
         }
-        bindings = kept;
+        rows = kept;
     }
-    // Deterministic row order before projection.
-    bindings.sort_by_key(|b| {
-        let mut key: Vec<(String, u64)> = b.iter().map(|(k, v)| (k.clone(), v.raw())).collect();
-        key.sort();
-        key
+    // Canonical row order before projection: raw node ids compared
+    // column by column, columns taken in variable-name order. A stable
+    // sort, because it merges the already-sorted runs executor output
+    // usually has (rows arrive in root-seed order).
+    let mut by_name: Vec<usize> = (0..vars.len()).collect();
+    by_name.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
+    rows.sort_by(|&a, &b| {
+        let (ra, rb) = (table.row(a), table.row(b));
+        by_name
+            .iter()
+            .map(|&c| ra[c].raw().cmp(&rb[c].raw()))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     });
 
     let columns: Vec<String> = query
@@ -133,150 +163,156 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         .iter()
         .map(|p| p.name().to_owned())
         .collect();
+    let projections: Vec<Column> = query
+        .projections
+        .iter()
+        .map(|p| Column::resolve(p, vars))
+        .collect::<Result<_>>()?;
 
-    // 4. Aggregate, grouped, or row projection.
+    // 4. Aggregate, grouped, or row projection. `sources` holds the
+    // table row each output row came from (a group's first row when
+    // grouped), for ordering by a key that is not a projected column;
+    // `None` for the single row of an ungrouped aggregate.
     let is_aggregate = query.projections.iter().any(Projection::is_aggregate);
-    // `ORDER BY alias` sorts by a projected column after projection;
-    // detect it up front so group keys are not evaluated for it.
-    let order_column_idx: Option<usize> = match &query.order_by {
-        Some((Expr::Var(name), _)) => columns.iter().position(|c| c == name),
-        _ => None,
-    };
-    let mut group_order_keys: Vec<Value> = Vec::new();
-    let mut rows: Vec<Vec<Value>> = if is_aggregate && !query.group_by.is_empty() {
-        // Group bindings by the grouping-key tuple (order-preserving
-        // over the sorted bindings, so output order is deterministic).
-        let mut groups: Vec<(Vec<Value>, Vec<&Binding>)> = Vec::new();
-        for b in &bindings {
-            let key: Vec<Value> = query
+    let (mut out, sources): (Vec<Vec<Value>>, Option<Vec<usize>>) =
+        if is_aggregate && !query.group_by.is_empty() {
+            let keys: Vec<RowExpr> = query
                 .group_by
                 .iter()
-                .map(|e| eval_expr(g, b, e))
+                .map(|e| RowExpr::resolve(e, vars))
                 .collect::<Result<_>>()?;
-            match groups.iter_mut().find(|(k, _)| {
-                k.len() == key.len() && k.iter().zip(&key).all(|(a, c)| a.loose_eq(c))
-            }) {
-                Some((_, members)) => members.push(b),
-                None => groups.push((key, vec![b])),
-            }
-        }
-        let mut out = Vec::with_capacity(groups.len());
-        for (_, members) in &groups {
-            let representative = members[0];
-            if order_column_idx.is_none() {
-                if let Some((key_expr, _)) = &query.order_by {
-                    group_order_keys.push(eval_expr(g, representative, key_expr)?);
+            // Group rows by the grouping-key tuple (order-preserving
+            // over the sorted rows, so output order is deterministic).
+            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+            let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+            for &r in &rows {
+                let row = table.row(r);
+                key.clear();
+                for e in &keys {
+                    key.push(e.eval(g, row)?);
+                }
+                match groups
+                    .iter_mut()
+                    .find(|(k, _)| k.iter().zip(&key).all(|(a, c)| a.loose_eq(c)))
+                {
+                    Some((_, members)) => members.push(r),
+                    None => groups.push((key.clone(), vec![r])),
                 }
             }
-            let mut row = Vec::with_capacity(query.projections.len());
-            for p in &query.projections {
-                match p {
-                    Projection::Expr { expr, .. } => {
-                        // Validated to be a grouping key: constant
-                        // within the group.
-                        row.push(eval_expr(g, representative, expr)?);
-                    }
-                    Projection::Aggregate { agg, expr, .. } => {
-                        let values: Vec<Value> = match expr {
-                            None => vec![Value::Int(1); members.len()],
-                            Some(e) => members
-                                .iter()
-                                .map(|b| eval_expr(g, b, e))
-                                .collect::<Result<_>>()?,
-                        };
-                        row.push(aggregate(*agg, &values)?);
-                    }
-                }
-            }
-            out.push(row);
-        }
-        out
-    } else if is_aggregate {
-        let mut row = Vec::with_capacity(query.projections.len());
-        for p in &query.projections {
-            let Projection::Aggregate { agg, expr, .. } = p else {
-                unreachable!("validate() rejects mixed projections");
-            };
-            let values: Vec<Value> = match expr {
-                None => vec![Value::Int(1); bindings.len()],
-                Some(e) => bindings
+            let mut out = Vec::with_capacity(groups.len());
+            for (_, members) in &groups {
+                // Projected expressions are validated to be grouping
+                // keys: constant within the group.
+                let representative = table.row(members[0]);
+                let row = projections
                     .iter()
-                    .map(|b| eval_expr(g, b, e))
-                    .collect::<Result<_>>()?,
-            };
-            row.push(aggregate(*agg, &values)?);
-        }
-        vec![row]
-    } else {
-        let mut out = Vec::with_capacity(bindings.len());
-        for b in &bindings {
-            let mut row = Vec::with_capacity(query.projections.len());
-            for p in &query.projections {
-                let Projection::Expr { expr, .. } = p else {
-                    unreachable!("validate() rejects mixed projections");
-                };
-                row.push(eval_expr(g, b, expr)?);
+                    .map(|c| match c {
+                        Column::Expr(e) => e.eval(g, representative),
+                        Column::Aggregate(agg, e) => aggregate_rows(g, table, *agg, e, members),
+                    })
+                    .collect::<Result<_>>()?;
+                out.push(row);
             }
-            out.push(row);
-        }
-        out
-    };
+            let sources = groups.iter().map(|(_, members)| members[0]).collect();
+            (out, Some(sources))
+        } else if is_aggregate {
+            let row = projections
+                .iter()
+                .map(|c| match c {
+                    Column::Aggregate(agg, e) => aggregate_rows(g, table, *agg, e, &rows),
+                    Column::Expr(_) => unreachable!("validate() rejects mixed projections"),
+                })
+                .collect::<Result<_>>()?;
+            (vec![row], None)
+        } else {
+            let mut out = Vec::with_capacity(rows.len());
+            for &r in &rows {
+                let row = table.row(r);
+                let projected = projections
+                    .iter()
+                    .map(|c| match c {
+                        Column::Expr(e) => e.eval(g, row),
+                        Column::Aggregate(..) => {
+                            unreachable!("validate() rejects mixed projections")
+                        }
+                    })
+                    .collect::<Result<_>>()?;
+                out.push(projected);
+            }
+            (out, Some(rows))
+        };
 
-    // 5. Distinct.
+    // Steps 5–7 pick and order output rows by their index in `out`.
+    let mut picked: Vec<usize> = (0..out.len()).collect();
+
+    // 5. Distinct: the first occurrence of each row survives.
     if query.distinct {
         let mut seen: FxHashSet<String> = FxHashSet::default();
-        rows.retain(|r| seen.insert(format!("{r:?}")));
+        picked.retain(|&i| seen.insert(format!("{:?}", out[i])));
     }
 
-    // 6. Order by (only meaningful for row projections, but harmless
-    // otherwise). The sort key is evaluated against bindings for row
-    // queries; for simplicity we sort rows by the projected columns
-    // when the key expression equals a projection, else re-evaluate.
+    // 6. Order by.
     if let Some((key_expr, asc)) = &query.order_by {
         // Ordering by a projected column's alias (`ORDER BY total`)
         // sorts the output rows directly — this also covers ordering
         // by aggregate results.
-        if let Some(idx) = order_column_idx {
-            rows.sort_by(|a, b| a[idx].total_cmp(&b[idx]));
+        let order_column = match key_expr {
+            Expr::Var(name) => columns.iter().position(|c| c == name),
+            _ => None,
+        };
+        if let Some(idx) = order_column {
+            picked.sort_by(|&a, &b| out[a][idx].total_cmp(&out[b][idx]));
             if !asc {
-                rows.reverse();
+                picked.reverse();
             }
-        } else {
-            let keys: Option<Vec<Value>> = if !is_aggregate {
-                // Pair rows with their source binding to evaluate the key.
-                Some(
-                    bindings
-                        .iter()
-                        .map(|b| eval_expr(g, b, key_expr))
-                        .collect::<Result<_>>()?,
-                )
-            } else if !query.group_by.is_empty() {
-                // Grouped: keys were computed per group representative
-                // (valid for grouping-key expressions).
-                Some(group_order_keys)
-            } else {
-                None // single aggregate row: nothing to order
-            };
-            if let Some(keys) = keys {
-                let mut paired: Vec<(Value, Vec<Value>)> = keys.into_iter().zip(rows).collect();
-                paired.sort_by(|a, b| a.0.total_cmp(&b.0));
-                if !asc {
-                    paired.reverse();
-                }
-                rows = paired.into_iter().map(|(_, r)| r).collect();
+        } else if let Some(sources) = &sources {
+            // Any other key is evaluated on each kept row's source
+            // row (valid for grouping-key expressions when grouped).
+            let key = RowExpr::resolve(key_expr, vars)?;
+            let mut keyed: Vec<(Value, usize)> = picked
+                .iter()
+                .map(|&i| Ok((key.eval(g, table.row(sources[i]))?, i)))
+                .collect::<Result<_>>()?;
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            if !asc {
+                keyed.reverse();
             }
+            picked = keyed.into_iter().map(|(_, i)| i).collect();
         }
+        // A single aggregate row has nothing to order.
     }
 
     // 7. Skip / limit.
-    if query.skip > 0 {
-        rows.drain(..query.skip.min(rows.len()));
-    }
+    picked.drain(..query.skip.min(picked.len()));
     if let Some(limit) = query.limit {
-        rows.truncate(limit);
+        picked.truncate(limit);
     }
 
+    let rows = picked
+        .into_iter()
+        .map(|i| std::mem::take(&mut out[i]))
+        .collect();
     Ok(ResultSet { columns, rows })
+}
+
+/// `agg` over `expr` evaluated on each of `rows` (`count(*)` and the
+/// other star forms when `expr` is `None`).
+fn aggregate_rows<G: AttributedView + ?Sized>(
+    g: &G,
+    table: &MatchTable,
+    agg: Aggregate,
+    expr: &Option<RowExpr>,
+    rows: &[usize],
+) -> Result<Value> {
+    let values: Vec<Value> = match expr {
+        None if agg == Aggregate::Count => return Ok(Value::Int(rows.len() as i64)),
+        None => vec![Value::Int(1); rows.len()],
+        Some(e) => rows
+            .iter()
+            .map(|&r| e.eval(g, table.row(r)))
+            .collect::<Result<_>>()?,
+    };
+    aggregate(agg, &values)
 }
 
 /// Is `to` reachable from `from` in `min..=max` hops over edges whose
@@ -324,93 +360,137 @@ fn within_hops<G: AttributedView + ?Sized>(
     false
 }
 
-/// Evaluates `expr` under `binding`.
-pub fn eval_expr<G: AttributedView + ?Sized>(
-    g: &G,
-    binding: &Binding,
-    expr: &Expr,
-) -> Result<Value> {
-    match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Var(var) => {
-            let node = lookup(binding, var)?;
-            Ok(Value::Int(node.raw() as i64))
-        }
-        Expr::Prop(var, key) => {
-            let node = lookup(binding, var)?;
-            Ok(match key.as_str() {
-                "id" => Value::Int(node.raw() as i64),
-                "label" => g
-                    .node_label(node)
-                    .and_then(|s| g.label_text(s))
-                    .map(|t| Value::Str(t.to_owned()))
-                    .unwrap_or(Value::Null),
-                "degree" => Value::Int(g.degree(node) as i64),
-                _ => g.node_property(node, key).unwrap_or(Value::Null),
-            })
-        }
-        Expr::Not(inner) => {
-            let v = eval_expr(g, binding, inner)?;
-            match v.as_bool() {
-                Some(b) => Ok(Value::Bool(!b)),
-                None => Err(GdmError::Type {
-                    expected: "bool",
-                    got: v.type_name().to_owned(),
-                }),
+/// A projection with its expression resolved to table columns.
+enum Column {
+    Expr(RowExpr),
+    Aggregate(Aggregate, Option<RowExpr>),
+}
+
+impl Column {
+    fn resolve(p: &Projection, vars: &[String]) -> Result<Self> {
+        Ok(match p {
+            Projection::Expr { expr, .. } => Column::Expr(RowExpr::resolve(expr, vars)?),
+            Projection::Aggregate { agg, expr, .. } => Column::Aggregate(
+                *agg,
+                expr.as_ref()
+                    .map(|e| RowExpr::resolve(e, vars))
+                    .transpose()?,
+            ),
+        })
+    }
+}
+
+/// An [`Expr`] with each variable resolved to its column in the match
+/// table, evaluated against one row of node ids — the one expression
+/// evaluator of the finishing stage.
+enum RowExpr {
+    Lit(Value),
+    /// A bare variable or `var.id`: the bound node's raw id.
+    Id(usize),
+    /// `var.label`.
+    Label(usize),
+    /// `var.degree`.
+    Degree(usize),
+    /// `var.key` for a stored property.
+    Prop(usize, String),
+    Not(Box<RowExpr>),
+    Bin(BinOp, Box<RowExpr>, Box<RowExpr>),
+}
+
+impl RowExpr {
+    fn resolve(expr: &Expr, vars: &[String]) -> Result<Self> {
+        let sub = |e: &Expr| Self::resolve(e, vars).map(Box::new);
+        Ok(match expr {
+            Expr::Lit(v) => RowExpr::Lit(v.clone()),
+            Expr::Var(var) => RowExpr::Id(column(vars, var)?),
+            Expr::Prop(var, key) => {
+                let col = column(vars, var)?;
+                match key.as_str() {
+                    "id" => RowExpr::Id(col),
+                    "label" => RowExpr::Label(col),
+                    "degree" => RowExpr::Degree(col),
+                    _ => RowExpr::Prop(col, key.clone()),
+                }
             }
-        }
-        Expr::Bin(op, lhs, rhs) => {
-            let l = eval_expr(g, binding, lhs)?;
-            // Short-circuit logic.
-            match op {
-                BinOp::And => {
-                    if !l.as_bool().unwrap_or(false) {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = eval_expr(g, binding, rhs)?;
-                    return Ok(Value::Bool(r.as_bool().unwrap_or(false)));
+            Expr::Not(inner) => RowExpr::Not(sub(inner)?),
+            Expr::Bin(op, lhs, rhs) => RowExpr::Bin(*op, sub(lhs)?, sub(rhs)?),
+        })
+    }
+
+    fn eval<G: AttributedView + ?Sized>(&self, g: &G, row: &[NodeId]) -> Result<Value> {
+        match self {
+            RowExpr::Lit(v) => Ok(v.clone()),
+            RowExpr::Id(col) => Ok(Value::Int(row[*col].raw() as i64)),
+            RowExpr::Label(col) => Ok(g
+                .node_label(row[*col])
+                .and_then(|s| g.label_text(s))
+                .map(|t| Value::Str(t.to_owned()))
+                .unwrap_or(Value::Null)),
+            RowExpr::Degree(col) => Ok(Value::Int(g.degree(row[*col]) as i64)),
+            RowExpr::Prop(col, key) => Ok(g.node_property(row[*col], key).unwrap_or(Value::Null)),
+            RowExpr::Not(inner) => {
+                let v = inner.eval(g, row)?;
+                match v.as_bool() {
+                    Some(b) => Ok(Value::Bool(!b)),
+                    None => Err(GdmError::Type {
+                        expected: "bool",
+                        got: v.type_name().to_owned(),
+                    }),
                 }
-                BinOp::Or => {
-                    if l.as_bool().unwrap_or(false) {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = eval_expr(g, binding, rhs)?;
-                    return Ok(Value::Bool(r.as_bool().unwrap_or(false)));
-                }
-                _ => {}
             }
-            let r = eval_expr(g, binding, rhs)?;
-            match op {
-                BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
-                BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    // Comparisons involving nulls are false, SQL-style.
-                    let Some(ord) = l.compare(&r) else {
-                        return Ok(Value::Bool(false));
-                    };
-                    let b = match op {
-                        BinOp::Lt => ord.is_lt(),
-                        BinOp::Le => ord.is_le(),
-                        BinOp::Gt => ord.is_gt(),
-                        BinOp::Ge => ord.is_ge(),
-                        _ => unreachable!(),
-                    };
-                    Ok(Value::Bool(b))
+            RowExpr::Bin(op, lhs, rhs) => {
+                let l = lhs.eval(g, row)?;
+                // Short-circuit logic.
+                match op {
+                    BinOp::And => {
+                        if !l.as_bool().unwrap_or(false) {
+                            return Ok(Value::Bool(false));
+                        }
+                        let r = rhs.eval(g, row)?;
+                        return Ok(Value::Bool(r.as_bool().unwrap_or(false)));
+                    }
+                    BinOp::Or => {
+                        if l.as_bool().unwrap_or(false) {
+                            return Ok(Value::Bool(true));
+                        }
+                        let r = rhs.eval(g, row)?;
+                        return Ok(Value::Bool(r.as_bool().unwrap_or(false)));
+                    }
+                    _ => {}
                 }
-                BinOp::Add => l.add(&r),
-                BinOp::Sub => l.sub(&r),
-                BinOp::Mul => l.mul(&r),
-                BinOp::Div => l.div(&r),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
+                let r = rhs.eval(g, row)?;
+                match op {
+                    BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
+                    BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
+                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                        // Comparisons involving nulls are false, SQL-style.
+                        let Some(ord) = l.compare(&r) else {
+                            return Ok(Value::Bool(false));
+                        };
+                        let b = match op {
+                            BinOp::Lt => ord.is_lt(),
+                            BinOp::Le => ord.is_le(),
+                            BinOp::Gt => ord.is_gt(),
+                            BinOp::Ge => ord.is_ge(),
+                            _ => unreachable!(),
+                        };
+                        Ok(Value::Bool(b))
+                    }
+                    BinOp::Add => l.add(&r),
+                    BinOp::Sub => l.sub(&r),
+                    BinOp::Mul => l.mul(&r),
+                    BinOp::Div => l.div(&r),
+                    BinOp::And | BinOp::Or => unreachable!("handled above"),
+                }
             }
         }
     }
 }
 
-fn lookup(binding: &Binding, var: &str) -> Result<NodeId> {
-    binding
-        .get(var)
-        .copied()
+/// The column `var` is bound in.
+fn column(vars: &[String], var: &str) -> Result<usize> {
+    vars.iter()
+        .position(|v| v == var)
         .ok_or_else(|| GdmError::InvalidArgument(format!("unbound variable {var:?}")))
 }
 
@@ -418,7 +498,6 @@ fn lookup(binding: &Binding, var: &str) -> Result<NodeId> {
 mod tests {
     use super::*;
     use gdm_algo::pattern::PatternNode;
-    use gdm_algo::summary::Aggregate;
     use gdm_core::props;
     use gdm_graphs::PropertyGraph;
 
@@ -592,6 +671,26 @@ mod tests {
         q.distinct = true;
         let rs = evaluate_select(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
+    }
+
+    #[test]
+    fn distinct_orders_by_each_kept_rows_own_key() {
+        // `DISTINCT` removes the second `x`; the order keys must stay
+        // paired with the rows that survive it.
+        let mut g = PropertyGraph::new();
+        for (name, age) in [("x", 1), ("x", 5), ("y", 3), ("z", 4)] {
+            g.add_node("person", props! { "name" => name, "age" => age });
+        }
+        let mut q = select_people();
+        q.distinct = true;
+        q.order_by = Some((Expr::Prop("p".into(), "age".into()), true));
+        for rs in [
+            evaluate_select(&g, &q).unwrap(),
+            evaluate_select_unplanned(&g, &q).unwrap(),
+        ] {
+            let names: Vec<&str> = rs.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+            assert_eq!(names, vec!["x", "y", "z"]);
+        }
     }
 
     #[test]

@@ -354,7 +354,7 @@ pub fn evaluate_select_planned<G: AttributedView + ?Sized>(
         planned.explain.parallel_workers,
         None,
     )?;
-    let rs = finish_select(g, &planned.query, table.to_bindings())?;
+    let rs = finish_select(g, &planned.query, &table)?;
     Ok((rs, planned.explain))
 }
 
@@ -383,7 +383,7 @@ pub fn execute_planned_governed<G: AttributedView + ?Sized>(
         planned.explain.parallel_workers,
         Some(guard),
     )?;
-    finish_select(g, &planned.query, table.to_bindings())
+    finish_select(g, &planned.query, &table)
 }
 
 /// Candidate domains from the view's indexes: a constrained variable
