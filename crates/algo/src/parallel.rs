@@ -44,11 +44,16 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Number of worker threads to use by default: the machine's available
-/// parallelism, or 1 when that cannot be determined.
+/// parallelism, or 1 when that cannot be determined. Detected once per
+/// process: on Linux the probe re-reads cgroup files on every call,
+/// which would otherwise cost every query plan tens of microseconds.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Process-wide worker-pool override: 0 means "auto" (use

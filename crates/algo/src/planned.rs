@@ -23,7 +23,7 @@
 //! order may differ because the variable order does.
 
 use crate::frozen::FrozenGraph;
-use crate::pattern::{Binding, Pattern};
+use crate::pattern::{Binding, Pattern, PatternNode};
 use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result, Symbol};
 use gdm_govern::{ExecutionGuard, GuardExt};
 
@@ -138,37 +138,58 @@ pub fn planned_order(pattern: &Pattern, estimates: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Domain estimates for ordering: the domain size where one is given,
-/// the graph's node count where not.
+/// Domain estimates for ordering: the domain size where one is given;
+/// for a constrained variable without one, the view's index estimate
+/// ([`index_estimate`]); else the graph's node count.
 pub fn domain_estimates<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
 ) -> Vec<usize> {
-    (0..pattern.nodes.len())
-        .map(|i| {
-            domains
-                .get(i)
-                .and_then(Option::as_ref)
-                .map_or_else(|| g.node_count(), Vec::len)
+    pattern
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, pn)| match domains.get(i).and_then(Option::as_ref) {
+            Some(domain) => domain.len(),
+            None => index_estimate(g, pn).unwrap_or_else(|| g.node_count()),
         })
         .collect()
 }
 
+/// The view's index bound on `pn`'s candidates
+/// ([`AttributedView::candidate_estimate`]); `None` when `pn` is
+/// unconstrained or no index covers its constraints.
+pub fn index_estimate<G: AttributedView + ?Sized>(g: &G, pn: &PatternNode) -> Option<usize> {
+    if pn.label.is_none() && pn.props.is_empty() {
+        return None;
+    }
+    g.candidate_estimate(pn.label.as_deref(), &pn.props)
+}
+
 /// Builds domains for `pattern` from the view's own indexes: each
 /// constrained variable whose constraints an index can bound (per
-/// [`AttributedView::candidate_estimate`]) gets its candidate list;
-/// unconstrained or index-less variables stay unrestricted.
+/// [`index_estimate`]) gets its candidate list; unconstrained or
+/// index-less variables stay unrestricted.
+///
+/// On a CSR snapshot a variable constrained by a label alone gets no
+/// domain either: the vectorized executor seeds such a variable from
+/// the snapshot's label run and checks labels as symbols, so a
+/// label-sized id list would only be copied, probed and turned into a
+/// bitset on every execution. [`domain_estimates`] still orders it by
+/// the label run length.
 pub fn auto_domains<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Domains {
+    let snapshot = g
+        .batch_backend()
+        .is_some_and(|b| b.downcast_ref::<FrozenGraph>().is_some());
     pattern
         .nodes
         .iter()
         .map(|pn| {
-            if pn.label.is_none() && pn.props.is_empty() {
+            if snapshot && pn.props.is_empty() {
                 return None;
             }
-            g.candidate_estimate(pn.label.as_deref(), &pn.props)
-                .map(|_| g.candidates(pn.label.as_deref(), &pn.props))
+            index_estimate(g, pn).map(|_| g.candidates(pn.label.as_deref(), &pn.props))
         })
         .collect()
 }

@@ -57,6 +57,7 @@ use crate::pattern::{value_in_range, Pattern};
 use crate::planned::{domain_estimates, planned_order, MatchTable};
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
 use gdm_govern::{ExecutionGuard, GuardExt};
+use std::borrow::Cow;
 
 /// Rows per batch. Large enough to amortize per-batch costs (guard
 /// draw, recursion) to noise; small enough that a working set of
@@ -346,13 +347,13 @@ impl<'a> BatchPlan<'a> {
 
     /// The full root seed list (dense positions), in the order a
     /// one-worker run scans it; morsels are contiguous ranges of it.
-    fn root_seed_list(&self) -> Vec<u32> {
+    fn root_seed_list(&self) -> Cow<'_, [u32]> {
         let pv = self.order[0];
         if self.node_want[pv] == Want::Impossible {
-            return Vec::new();
+            return Cow::Borrowed(&[]);
         }
         match &self.dom_list[pv] {
-            Some(list) => list.clone(),
+            Some(list) => Cow::Borrowed(list),
             None => self.all_dense(pv),
         }
     }
@@ -360,10 +361,10 @@ impl<'a> BatchPlan<'a> {
     /// Dense positions a label-only scan of `pv` must consider: the
     /// label index slice when the variable is labelled, else all
     /// nodes. (Only reached when the planner supplied no domain.)
-    fn all_dense(&self, pv: usize) -> Vec<u32> {
+    fn all_dense(&self, pv: usize) -> Cow<'_, [u32]> {
         match self.node_want[pv] {
-            Want::Sym(sym) => self.fz.nodes_with_label(sym).to_vec(),
-            _ => (0..self.fz.len() as u32).collect(),
+            Want::Sym(sym) => Cow::Borrowed(self.fz.nodes_with_label(sym)),
+            _ => Cow::Owned((0..self.fz.len() as u32).collect()),
         }
     }
 
@@ -432,7 +433,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 // else the domain selection vector when the planner
                 // supplied one, else the label-scan slice, else every
                 // dense position.
-                let owned: Vec<u32>;
+                let owned: Cow<'_, [u32]>;
                 let scan: &[u32] = match (depth, &self.plan.dom_list[pv]) {
                     (0, _) => self.root_seeds,
                     (_, Some(list)) => list,
@@ -579,16 +580,9 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 continue;
             }
             // Property equality over the snapshot's property columns.
-            if !pn.props.is_empty() {
-                let props = self.plan.fz.node_props_dense(cand);
-                for (key, want_v) in &pn.props {
-                    let ok = props
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .is_some_and(|(_, got)| got.loose_eq(want_v));
-                    if !ok {
-                        continue 'cand;
-                    }
+            for (key, want_v) in &pn.props {
+                if !self.plan.fz.prop_matches(cand, key, want_v) {
+                    continue 'cand;
                 }
             }
             // Injectivity against the row's other columns.

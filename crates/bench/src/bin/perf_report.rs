@@ -621,6 +621,64 @@ fn main() {
             });
         }
     }
+    // ---- served point lookup: plan + execute on the snapshot ----------
+    //
+    // The served benchmark's three `point_lookup` shapes (a name probe,
+    // its one-hop list, its friends-of-friends count), each call naming
+    // a different person so no two consecutive plans are for the same
+    // text. One op is `plan_select` + `execute_planned_governed` at one
+    // worker on the frozen snapshot; every text must first return the
+    // unplanned reference's rows on the live graph.
+    {
+        let sfz = gdm_algo::FrozenGraph::freeze_attributed(&graph);
+        let names = 32usize;
+        let lookups: Vec<SelectQuery> = (0..names)
+            .flat_map(|i| {
+                let name = format!("person{}", (i * 7919) % people);
+                [
+                    format!("MATCH (p:person) WHERE p.name = '{name}' RETURN p.age"),
+                    format!(
+                        "MATCH (a:person)-[:knows]->(b:person) WHERE a.name = '{name}' \
+                         RETURN b.name"
+                    ),
+                    format!(
+                        "MATCH (a:person)-[:knows]->(b:person)-[:knows]->(c:person) \
+                         WHERE a.name = '{name}' RETURN count(*)"
+                    ),
+                ]
+            })
+            .map(
+                |text| match gdm_query::cypher::parse(&text).expect("parses") {
+                    gdm_query::cypher::CypherStatement::Select(q) => *q,
+                    _ => unreachable!("a MATCH text is a read query"),
+                },
+            )
+            .collect();
+        let guard = ExecutionGuard::unlimited();
+        let lookup = |q: &SelectQuery| {
+            let mut planned = gdm_query::plan_select(&sfz, q).expect("plans");
+            planned.explain.parallel_workers = 1;
+            gdm_query::execute_planned_governed(&sfz, &planned, &guard).expect("ungoverned")
+        };
+        for q in &lookups {
+            let want = gdm_query::evaluate_select_unplanned(&graph, q).expect("evaluates");
+            assert!(lookup(q) == want, "select_point_lookup: rows differ");
+        }
+        let mut next = 0usize;
+        let lookup_us = time_us(
+            || {
+                black_box(lookup(&lookups[next % lookups.len()]).len());
+                next += 1;
+            },
+            if smoke { 300 } else { 3000 },
+        );
+        rows.push(Row {
+            name: "select_point_lookup",
+            live_ops_s: None,
+            frozen_ops_s: ops_s(lookup_us),
+            parallel_ops_s: None,
+        });
+    }
     // ---- snapshot refresh: O(changes) re-freeze vs full rebuild -------
     //
     // The serving story (DESIGN.md §14): a mutation batch of ≤1% of the

@@ -6,15 +6,26 @@
 //! reproduction harness to be diffable.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
-use std::collections::btree_map::{self, BTreeMap};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// A sorted map from property name to value.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Stored as a flat `Vec` of entries sorted by name: graphs carry one
+/// map per node and edge, mostly with one to three keys, where a
+/// binary search over a `Vec` is as fast as a tree and a one-entry map
+/// costs one small allocation instead of a whole B-tree leaf.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PropertyMap {
-    entries: BTreeMap<String, Value>,
+    entries: Vec<(String, Value)>,
 }
+
+/// The iterator behind [`PropertyMap::iter`] and `&PropertyMap`'s
+/// `IntoIterator`.
+pub type Iter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (String, Value)>,
+    fn(&(String, Value)) -> (&String, &Value),
+>;
 
 impl PropertyMap {
     /// Creates an empty property map.
@@ -22,24 +33,36 @@ impl PropertyMap {
         Self::default()
     }
 
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
     /// Sets `key` to `value`, returning the previous value if any.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        self.entries.insert(key.into(), value.into())
+        let key = key.into();
+        let value = value.into();
+        match self.position(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
     }
 
     /// Gets the value stored under `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+        self.position(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Removes `key`, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.entries.remove(key)
+        self.position(key).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// True when `key` is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.position(key).is_ok()
     }
 
     /// Number of properties.
@@ -53,13 +76,13 @@ impl PropertyMap {
     }
 
     /// Iterates `(name, value)` pairs in sorted name order.
-    pub fn iter(&self) -> btree_map::Iter<'_, String, Value> {
-        self.entries.iter()
+    pub fn iter(&self) -> Iter<'_> {
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Iterates property names in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+        self.entries.iter().map(|(k, _)| k.as_str())
     }
 
     /// Builder-style insertion, for literals in tests and examples.
@@ -73,7 +96,7 @@ impl PropertyMap {
 impl fmt::Display for PropertyMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (k, v)) in self.entries.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -83,19 +106,65 @@ impl fmt::Display for PropertyMap {
     }
 }
 
+/// Later entries win over earlier ones with the same name, as they
+/// would inserting one by one.
 impl FromIterator<(String, Value)> for PropertyMap {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Self {
-            entries: iter.into_iter().collect(),
+        let mut entries: Vec<(String, Value)> = iter.into_iter().collect();
+        // Stable: equal names keep their input order, so the last one
+        // of each run is the last written.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out: Vec<(String, Value)> = Vec::with_capacity(entries.len());
+        for entry in entries {
+            match out.last_mut() {
+                Some(last) if last.0 == entry.0 => *last = entry,
+                _ => out.push(entry),
+            }
         }
+        Self { entries: out }
     }
 }
 
 impl<'a> IntoIterator for &'a PropertyMap {
     type Item = (&'a String, &'a Value);
-    type IntoIter = btree_map::Iter<'a, String, Value>;
+    type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+        self.iter()
+    }
+}
+
+/// Serialized as `{"entries": {name: value, ...}}`, the shape the
+/// map-backed representation had, so stored and wire forms are
+/// unchanged.
+impl Serialize for PropertyMap {
+    fn serialize_content(&self) -> Content {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(k, v)| (Content::Str(k.clone()), v.serialize_content()))
+            .collect();
+        Content::Map(vec![(
+            Content::Str("entries".into()),
+            Content::Map(entries),
+        )])
+    }
+}
+
+impl Deserialize for PropertyMap {
+    fn deserialize_content(c: &Content) -> Result<Self, DeError> {
+        let map = c
+            .as_map()
+            .ok_or_else(|| DeError::expected("map", c.kind()))?;
+        let entries = serde::field(map, "entries")?;
+        entries
+            .as_map()
+            .ok_or_else(|| DeError::expected("map", entries.kind()))?
+            .iter()
+            .map(|(k, v)| match k {
+                Content::Str(s) => Ok((s.clone(), Value::deserialize_content(v)?)),
+                other => Err(DeError::expected("string key", other.kind())),
+            })
+            .collect()
     }
 }
 
@@ -148,6 +217,39 @@ mod tests {
         let p = PropertyMap::new().with("x", 1).with("y", "two");
         assert_eq!(p.len(), 2);
         assert_eq!(p.get("y"), Some(&Value::Str("two".into())));
+    }
+
+    #[test]
+    fn from_iter_sorts_and_last_write_wins() {
+        let p: PropertyMap = [("b", 1), ("a", 2), ("b", 3)]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), Value::from(v)))
+            .collect();
+        let pairs: Vec<(&String, &Value)> = p.iter().collect();
+        assert_eq!(pairs.len(), 2);
+        assert_eq!((pairs[0].0.as_str(), pairs[0].1), ("a", &Value::Int(2)));
+        assert_eq!((pairs[1].0.as_str(), pairs[1].1), ("b", &Value::Int(3)));
+    }
+
+    #[test]
+    fn serde_shape_is_a_map_of_entries() {
+        let p = props! { "name" => "bob", "age" => 4 };
+        let content = p.serialize_content();
+        let expected = Content::Map(vec![(
+            Content::Str("entries".into()),
+            Content::Map(vec![
+                (
+                    Content::Str("age".into()),
+                    Value::from(4).serialize_content(),
+                ),
+                (
+                    Content::Str("name".into()),
+                    Value::from("bob").serialize_content(),
+                ),
+            ]),
+        )]);
+        assert_eq!(content, expected);
+        assert_eq!(PropertyMap::deserialize_content(&content).unwrap(), p);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::error::{GdmError, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hasher;
 
 /// A dynamically typed attribute or query value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,6 +151,51 @@ impl Value {
             (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
             (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
             (a, b) => a == b,
+        }
+    }
+
+    /// A hash that agrees with [`Value::loose_eq`]: loosely equal
+    /// values hash alike, so value indexes and `GROUP BY` buckets can
+    /// hash first and re-check with `loose_eq`. Integers hash as their
+    /// `f64` (so `3` and `3.0`, or `2^53 + 1` and `2^53 as f64`, share
+    /// a bucket), `-0.0` hashes as `0.0`, and lists hash element by
+    /// element, so every variant is covered.
+    pub fn loose_hash(&self) -> u64 {
+        let mut h = crate::fxhash::FxHasher::default();
+        self.loose_hash_into(&mut h);
+        h.finish()
+    }
+
+    fn loose_hash_into(&self, h: &mut crate::fxhash::FxHasher) {
+        // `0.0 == -0.0`; adding `0.0` maps `-0.0` to `0.0` and leaves
+        // every other value (NaN included) as it was.
+        let float_bits = |f: f64| (f + 0.0).to_bits();
+        match self {
+            Value::Null => h.write_u8(0),
+            Value::Bool(b) => {
+                h.write_u8(1);
+                h.write_u8(u8::from(*b));
+            }
+            Value::Int(i) => {
+                h.write_u8(2);
+                h.write_u64(float_bits(*i as f64));
+            }
+            Value::Float(f) => {
+                h.write_u8(2);
+                h.write_u64(float_bits(*f));
+            }
+            Value::Str(s) => {
+                h.write_u8(3);
+                h.write(s.as_bytes());
+                h.write_usize(s.len());
+            }
+            Value::List(items) => {
+                h.write_u8(4);
+                h.write_usize(items.len());
+                for v in items {
+                    v.loose_hash_into(h);
+                }
+            }
         }
     }
 
@@ -336,6 +382,47 @@ mod tests {
     fn loose_eq_coerces() {
         assert!(Value::from(3).loose_eq(&Value::from(3.0)));
         assert!(!Value::from(3).loose_eq(&Value::from("3")));
+    }
+
+    #[test]
+    fn loose_hash_agrees_with_loose_eq() {
+        let big = (1i64 << 53) + 1;
+        let pairs = [
+            (Value::from(3), Value::from(3.0)),
+            (Value::from(0.0), Value::from(-0.0)),
+            (Value::from(0), Value::from(-0.0)),
+            (Value::Int(big), Value::Float((1i64 << 53) as f64)),
+            (Value::from("x"), Value::from("x")),
+            (Value::Null, Value::Null),
+            (
+                Value::List(vec![Value::from(1.0), Value::from("a")]),
+                Value::List(vec![Value::from(1.0), Value::from("a")]),
+            ),
+            (
+                Value::List(vec![Value::from(-0.0)]),
+                Value::List(vec![Value::from(0.0)]),
+            ),
+        ];
+        for (a, b) in &pairs {
+            assert!(a.loose_eq(b), "{a:?} ~ {b:?}");
+            assert_eq!(a.loose_hash(), b.loose_hash(), "{a:?} ~ {b:?}");
+        }
+        // Distinct values usually hash apart (not required, but a
+        // degenerate hash would make every bucket a scan).
+        assert_ne!(Value::from(1).loose_hash(), Value::from(2).loose_hash());
+        assert_ne!(Value::from("1").loose_hash(), Value::from(1).loose_hash());
+        assert_ne!(
+            Value::from(true).loose_hash(),
+            Value::from(false).loose_hash()
+        );
+        assert_ne!(
+            Value::List(vec![Value::from("ab")]).loose_hash(),
+            Value::List(vec![Value::from("a"), Value::from("b")]).loose_hash()
+        );
+        // NaN equals nothing, itself included; hashing it is still total.
+        let nan = Value::Float(f64::NAN);
+        assert!(!nan.loose_eq(&nan));
+        assert_eq!(nan.loose_hash(), nan.loose_hash());
     }
 
     #[test]

@@ -24,9 +24,11 @@ use crate::ast::{BinOp, Expr, Projection, SelectQuery};
 use gdm_algo::pattern::match_pattern;
 use gdm_algo::summary::{aggregate, Aggregate};
 use gdm_algo::MatchTable;
-use gdm_core::{AttributedView, FxHashSet, GdmError, NodeId, Result, Value};
+use gdm_core::fxhash::FxHasher;
+use gdm_core::{AttributedView, FxHashMap, FxHashSet, GdmError, NodeId, Result, Value};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 /// A tabular query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,7 +185,12 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
                 .collect::<Result<_>>()?;
             // Group rows by the grouping-key tuple (order-preserving
             // over the sorted rows, so output order is deterministic).
+            // A row joins the first group, in creation order, whose key
+            // is loosely equal to its own. Loosely equal keys hash
+            // alike, so only the groups in the row's hash bucket
+            // (kept in creation order) can match.
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+            let mut buckets: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
             let mut key: Vec<Value> = Vec::with_capacity(keys.len());
             for &r in &rows {
                 let row = table.row(r);
@@ -191,12 +198,21 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
                 for e in &keys {
                     key.push(e.eval(g, row)?);
                 }
-                match groups
-                    .iter_mut()
-                    .find(|(k, _)| k.iter().zip(&key).all(|(a, c)| a.loose_eq(c)))
-                {
-                    Some((_, members)) => members.push(r),
-                    None => groups.push((key.clone(), vec![r])),
+                let mut hasher = FxHasher::default();
+                for v in &key {
+                    hasher.write_u64(v.loose_hash());
+                }
+                let bucket = buckets.entry(hasher.finish()).or_default();
+                let found = bucket
+                    .iter()
+                    .copied()
+                    .find(|&gi| groups[gi].0.iter().zip(&key).all(|(a, c)| a.loose_eq(c)));
+                match found {
+                    Some(gi) => groups[gi].1.push(r),
+                    None => {
+                        bucket.push(groups.len());
+                        groups.push((key.clone(), vec![r]));
+                    }
                 }
             }
             let mut out = Vec::with_capacity(groups.len());

@@ -16,8 +16,11 @@
 //!    view's [`AttributedView::candidate_estimate`] reports whether an
 //!    index can bound its candidates; if so the variable is seeded
 //!    from [`AttributedView::candidates`] (index access), otherwise it
-//!    scans. [`gdm_algo::planned_order`] then eliminates variables
-//!    smallest estimated domain first, connectivity as the tiebreak.
+//!    scans. On a CSR snapshot a label-only variable is index access
+//!    without a materialized domain: the vectorized executor reads the
+//!    snapshot's label run directly ([`gdm_algo::planned::auto_domains`]).
+//!    [`gdm_algo::planned_order`] then eliminates variables smallest
+//!    estimated domain first, connectivity as the tiebreak.
 //!
 //! The chosen plan is recorded as an [`ExplainPlan`] whose
 //! [`ExplainPlan::render`]/[`ExplainPlan::parse`] round-trip gives
@@ -25,7 +28,9 @@
 
 use crate::ast::{BinOp, Expr, SelectQuery};
 use crate::eval::{finish_select, ResultSet};
-use gdm_algo::planned::{domain_estimates, execute_pattern, planned_order, Domains};
+use gdm_algo::planned::{
+    domain_estimates, execute_pattern, index_estimate, planned_order, Domains,
+};
 use gdm_algo::Pattern;
 use gdm_core::{AttributedView, GdmError, Result, Value};
 
@@ -304,7 +309,10 @@ pub fn plan_select<G: AttributedView + ?Sized>(
             let pn = &query.pattern.nodes[i];
             PlanStep {
                 var: pn.var.clone(),
-                access: if domains[i].is_some() {
+                // Index coverage, not the presence of a domain: on a
+                // snapshot a label-only variable is seeded from the
+                // label run without one.
+                access: if domains[i].is_some() || index_estimate(g, pn).is_some() {
                     Access::Index
                 } else {
                     Access::Scan

@@ -157,6 +157,56 @@ fn columnar_finish_matches_binding_map_reference() {
     }
 }
 
+/// `GROUP BY` over thousands of groups, keyed by a property mixing
+/// `Int` and `Float` values (some loosely equal across the two, some
+/// beyond 2^53 where loose equality stops being transitive) and
+/// missing on some people (null keys): the hashed grouping returns
+/// exactly the reference's groups, in the reference's order.
+#[test]
+fn high_cardinality_group_by_matches_reference() {
+    let mut live = graph(4000);
+    let big = 1i64 << 53;
+    for (i, n) in live.node_ids().into_iter().enumerate() {
+        let k = (i / 2) as i64;
+        let value = match i % 8 {
+            0 => continue, // no `g`: a null key
+            1 | 2 => Value::Int(k),
+            3 => Value::Float(k as f64),
+            4 => Value::Float(k as f64 + 0.5),
+            5 => Value::Int(big + (i % 3) as i64),
+            6 => Value::Float(big as f64),
+            _ => Value::Float(-0.0),
+        };
+        live.set_node_property(n, "g", value).unwrap();
+    }
+    let frozen = FrozenGraph::freeze_attributed(&live);
+    let guard = ExecutionGuard::unlimited();
+    for text in [
+        "MATCH (p:person) RETURN p.g, count(*)",
+        "MATCH (p:person) RETURN p.g, p.community, count(*), min(p.age)",
+        "MATCH (p:person) RETURN p.g AS g, count(*) AS n ORDER BY n DESC",
+    ] {
+        let query = parse(text);
+        let want = outcome(reference_select(&live, &query));
+        let groups = want.as_ref().map_or(0, ResultSet::len);
+        assert!(groups > 1000, "{text}: {groups} groups");
+        let got = outcome(evaluate_select_unplanned(&live, &query));
+        assert!(got == want, "unplanned: {text}");
+        let views: [(&str, &dyn AttributedView); 2] = [("live", &live), ("frozen", &frozen)];
+        for (name, view) in views {
+            for workers in [1, 2] {
+                force_fanout(workers > 1);
+                let got = outcome(plan_select(view, &query).and_then(|mut planned| {
+                    planned.explain.parallel_workers = workers;
+                    execute_planned_governed(view, &planned, &guard)
+                }));
+                force_fanout(false);
+                assert!(got == want, "{name}, {workers} workers: {text}");
+            }
+        }
+    }
+}
+
 #[test]
 fn corpus_exercises_every_finishing_step() {
     let live = graph(300);

@@ -339,6 +339,87 @@ fn executor_agrees_with_reference_across_batch_overflow() {
     }
 }
 
+/// The served `point_lookup` shapes and label-only chains on a frozen
+/// 10k-person snapshot, where label-only variables carry no domain
+/// and the name lookup reads the snapshot's value index: rows equal
+/// the unplanned reference on the live graph at 1 and 2 workers, and
+/// the `EXPLAIN` text is what the planner printed when every label
+/// was a materialized domain.
+#[test]
+fn point_lookups_on_a_frozen_snapshot_match_the_reference() {
+    use graph_db_models::bench::workload::{social_graph, SocialParams};
+    use graph_db_models::govern::ExecutionGuard;
+    use graph_db_models::query::cypher::{self, CypherStatement};
+    use graph_db_models::query::plan::{execute_planned_governed, plan_select};
+    let g = social_graph(SocialParams {
+        people: 10_000,
+        communities: 10,
+        intra_edges: 6,
+        inter_edges: 2,
+        seed: 2012,
+    });
+    let fz = FrozenGraph::freeze_attributed(&g);
+    let cases = [
+        (
+            "MATCH (p:person) WHERE p.name = 'person4242' RETURN p.age",
+            "plan nodes=1 pushed=1 residual=0 vectorized=true\n\
+             step var=p access=index estimate=1 props=1 label=person\n",
+        ),
+        (
+            "MATCH (a:person)-[:knows]->(b:person) WHERE a.name = 'person4242' RETURN b.name",
+            "plan nodes=2 pushed=1 residual=0 vectorized=true\n\
+             step var=a access=index estimate=1 props=1 label=person\n\
+             step var=b access=index estimate=10000 props=0 label=person\n",
+        ),
+        (
+            "MATCH (a:person)-[:knows]->(b:person)-[:knows]->(c:person) \
+             WHERE a.name = 'person4242' RETURN count(*)",
+            "plan nodes=3 pushed=1 residual=0 vectorized=true\n\
+             step var=a access=index estimate=1 props=1 label=person\n\
+             step var=b access=index estimate=10000 props=0 label=person\n\
+             step var=c access=index estimate=10000 props=0 label=person\n",
+        ),
+        (
+            "MATCH (a:person)-[:knows]->(b:person) RETURN count(*)",
+            "plan nodes=2 pushed=0 residual=0 vectorized=true\n\
+             step var=a access=index estimate=10000 props=0 label=person\n\
+             step var=b access=index estimate=10000 props=0 label=person\n",
+        ),
+        (
+            "MATCH (a:person)-[:knows]->(b:person) WHERE b.community = 3 RETURN a.name",
+            "plan nodes=2 pushed=1 residual=0 vectorized=true\n\
+             step var=b access=index estimate=1000 props=1 label=person\n\
+             step var=a access=index estimate=10000 props=0 label=person\n",
+        ),
+    ];
+    let guard = ExecutionGuard::unlimited();
+    for (text, explain) in cases {
+        let CypherStatement::Select(q) = cypher::parse(text).expect("parses") else {
+            panic!("{text}: not a read query");
+        };
+        let reference = evaluate_select_unplanned(&g, &q).expect("reference evaluates");
+        assert!(!reference.is_empty(), "{text}: the probe finds rows");
+        let mut planned = plan_select(&fz, &q).expect("plans");
+        assert!(
+            planned
+                .domains
+                .iter()
+                .zip(&planned.query.pattern.nodes)
+                .all(|(domain, pn)| domain.is_some() != pn.props.is_empty()),
+            "{text}: only property-constrained variables carry a domain"
+        );
+        for workers in [1, 2] {
+            planned.explain.parallel_workers = workers;
+            force_fanout(workers > 1);
+            let rows = execute_planned_governed(&fz, &planned, &guard).expect("executes");
+            force_fanout(false);
+            assert_eq!(rows, reference, "{text}: {workers} workers");
+        }
+        planned.explain.parallel_workers = 1;
+        assert_eq!(planned.explain.render(), explain, "{text}");
+    }
+}
+
 #[test]
 fn range_predicates_seed_ordered_indexes() {
     let mut g = PropertyGraph::new();
