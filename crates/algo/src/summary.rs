@@ -40,11 +40,18 @@ pub fn aggregate(agg: Aggregate, values: &[Value]) -> Result<Value> {
             if non_null.is_empty() {
                 return Ok(Value::Null);
             }
+            // Integers add exactly (no `i64` sum of `usize::MAX` terms
+            // overflows an `i128`); one float makes the whole sum an
+            // `f64` one, accumulated in input order.
+            let mut exact: i128 = 0;
             let mut sum = 0.0;
             let mut all_int = true;
             for v in &non_null {
                 match v {
-                    Value::Int(i) => sum += *i as f64,
+                    Value::Int(i) => {
+                        exact += i128::from(*i);
+                        sum += *i as f64;
+                    }
                     Value::Float(f) => {
                         all_int = false;
                         sum += f;
@@ -57,12 +64,17 @@ pub fn aggregate(agg: Aggregate, values: &[Value]) -> Result<Value> {
                     }
                 }
             }
+            if all_int {
+                sum = exact as f64;
+            }
             if agg == Aggregate::Avg {
                 Ok(Value::Float(sum / non_null.len() as f64))
-            } else if all_int {
-                Ok(Value::Int(sum as i64))
             } else {
-                Ok(Value::Float(sum))
+                match i64::try_from(exact) {
+                    Ok(total) if all_int => Ok(Value::Int(total)),
+                    // A float input, or an integer total outside `i64`.
+                    _ => Ok(Value::Float(sum)),
+                }
             }
         }
         Aggregate::Min => Ok(non_null
@@ -218,6 +230,30 @@ mod tests {
         assert!(aggregate(Aggregate::Sum, &vals).is_err());
         // But min/max over strings is fine.
         assert_eq!(aggregate(Aggregate::Max, &vals).unwrap(), Value::from("a"));
+    }
+
+    #[test]
+    fn integer_sums_are_exact_beyond_2_pow_53() {
+        let big = (1i64 << 53) + 1;
+        let vals = vec![Value::from(big), Value::from(1)];
+        assert_eq!(
+            aggregate(Aggregate::Sum, &vals).unwrap(),
+            Value::from(big + 1)
+        );
+        assert_eq!(
+            aggregate(Aggregate::Avg, &vals).unwrap(),
+            Value::from(((1i64 << 52) + 1) as f64)
+        );
+        assert_eq!(
+            aggregate(Aggregate::Sum, &[Value::from(big)]).unwrap(),
+            Value::from(big)
+        );
+        // A total outside `i64` is a float, not a saturated integer.
+        let vals = vec![Value::from(i64::MAX), Value::from(i64::MAX)];
+        assert_eq!(
+            aggregate(Aggregate::Sum, &vals).unwrap(),
+            Value::from(2.0 * i64::MAX as f64)
+        );
     }
 
     #[test]

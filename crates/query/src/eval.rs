@@ -5,15 +5,20 @@
 //! off the executor's [`MatchTable`] — dense node-id rows, one column
 //! per pattern variable. The finishing stage works on row indices:
 //! expand variable-length path constraints (label-filtered BFS in the
-//! hop range), filter, sort into canonical order, project (row or
-//! aggregate), de-duplicate, order, skip, limit. Each variable is
-//! resolved to its column once per query, and expressions read node
-//! ids straight from the row; no per-row binding map is built.
+//! hop range), filter, project (row or aggregate), de-duplicate,
+//! order, skip, limit. Each variable is resolved to its column once per
+//! query, and expressions read node ids straight from the row; no
+//! per-row binding map is built.
 //!
 //! The canonical order compares rows by their raw node ids, column by
 //! column, with the columns taken in variable-name order. It is a total
 //! order on the match set, so every path produces byte-identical rows
-//! however its matches were found.
+//! however its matches were found. Row projections come out in it; a
+//! group is represented by its canonically first row, and groups come
+//! out in the canonical order of their representatives. Only row
+//! projections and order-sensitive aggregates sort: a packed integer
+//! key per row, not the comparator. Grouping buckets rows by key hash
+//! instead, so a grouped `count(*)` sorts nothing but its groups.
 //!
 //! Bare variables project as node ids; `var.key` projects the bound
 //! node's property; the pseudo-properties `id`, `label`, and `degree`
@@ -114,11 +119,11 @@ pub fn evaluate_select_unplanned<G: AttributedView + ?Sized>(
 }
 
 /// Steps 2–7 of the pipeline, shared by the planned and unplanned
-/// paths: var-length paths, filter, canonical sort, projection,
-/// distinct, order, skip/limit. Every step works on row indices into
-/// `table`; expressions read node ids straight from the row. The
-/// canonical sort guarantees every path produces byte-identical row
-/// order regardless of how the matches were found.
+/// paths: var-length paths, filter, projection, distinct, order,
+/// skip/limit. Every step works on row indices into `table`;
+/// expressions read node ids straight from the row. The canonical
+/// order guarantees every path produces byte-identical rows regardless
+/// of how the matches were found.
 pub(crate) fn finish_select<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
@@ -145,20 +150,12 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         }
         rows = kept;
     }
-    // Canonical row order before projection: raw node ids compared
-    // column by column, columns taken in variable-name order. A stable
-    // sort, because it merges the already-sorted runs executor output
-    // usually has (rows arrive in root-seed order).
+    // The canonical order (see the module docs) decides which row each
+    // output row or group comes from and in what order; it is applied
+    // only where it shows, never by sorting rows a grouped `count(*)`
+    // just counts.
     let mut by_name: Vec<usize> = (0..vars.len()).collect();
     by_name.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
-    rows.sort_by(|&a, &b| {
-        let (ra, rb) = (table.row(a), table.row(b));
-        by_name
-            .iter()
-            .map(|&c| ra[c].raw().cmp(&rb[c].raw()))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    });
 
     let columns: Vec<String> = query
         .projections
@@ -170,11 +167,18 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         .iter()
         .map(|p| Column::resolve(p, vars))
         .collect::<Result<_>>()?;
+    // All but `count(*)` fold an expression over rows in canonical
+    // order: `f64` sums and `total_cmp` ties (`1` beside `1.0`) depend
+    // on it, and so does which row's error is reported.
+    let ordered = projections.iter().any(|c| match c {
+        Column::Aggregate(agg, expr) => *agg != Aggregate::Count || expr.is_some(),
+        Column::Expr(_) => false,
+    });
 
     // 4. Aggregate, grouped, or row projection. `sources` holds the
-    // table row each output row came from (a group's first row when
-    // grouped), for ordering by a key that is not a projected column;
-    // `None` for the single row of an ungrouped aggregate.
+    // table row each output row came from (a group's representative
+    // when grouped), for ordering by a key that is not a projected
+    // column; `None` for the single row of an ungrouped aggregate.
     let is_aggregate = query.projections.iter().any(Projection::is_aggregate);
     let (mut out, sources): (Vec<Vec<Value>>, Option<Vec<usize>>) =
         if is_aggregate && !query.group_by.is_empty() {
@@ -183,40 +187,9 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
                 .iter()
                 .map(|e| RowExpr::resolve(e, vars))
                 .collect::<Result<_>>()?;
-            // Group rows by the grouping-key tuple (order-preserving
-            // over the sorted rows, so output order is deterministic).
-            // A row joins the first group, in creation order, whose key
-            // is loosely equal to its own. Loosely equal keys hash
-            // alike, so only the groups in the row's hash bucket
-            // (kept in creation order) can match.
-            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-            let mut buckets: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            let mut key: Vec<Value> = Vec::with_capacity(keys.len());
-            for &r in &rows {
-                let row = table.row(r);
-                key.clear();
-                for e in &keys {
-                    key.push(e.eval(g, row)?);
-                }
-                let mut hasher = FxHasher::default();
-                for v in &key {
-                    hasher.write_u64(v.loose_hash());
-                }
-                let bucket = buckets.entry(hasher.finish()).or_default();
-                let found = bucket
-                    .iter()
-                    .copied()
-                    .find(|&gi| groups[gi].0.iter().zip(&key).all(|(a, c)| a.loose_eq(c)));
-                match found {
-                    Some(gi) => groups[gi].1.push(r),
-                    None => {
-                        bucket.push(groups.len());
-                        groups.push((key.clone(), vec![r]));
-                    }
-                }
-            }
+            let groups = group_rows(g, table, &rows, &by_name, &keys, ordered)?;
             let mut out = Vec::with_capacity(groups.len());
-            for (_, members) in &groups {
+            for members in &groups {
                 // Projected expressions are validated to be grouping
                 // keys: constant within the group.
                 let representative = table.row(members[0]);
@@ -229,9 +202,12 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
                     .collect::<Result<_>>()?;
                 out.push(row);
             }
-            let sources = groups.iter().map(|(_, members)| members[0]).collect();
+            let sources = groups.iter().map(|members| members[0]).collect();
             (out, Some(sources))
         } else if is_aggregate {
+            if ordered {
+                rows = canonical_order(table, &rows, &by_name);
+            }
             let row = projections
                 .iter()
                 .map(|c| match c {
@@ -241,6 +217,7 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
                 .collect::<Result<_>>()?;
             (vec![row], None)
         } else {
+            let rows = canonical_order(table, &rows, &by_name);
             let mut out = Vec::with_capacity(rows.len());
             for &r in &rows {
                 let row = table.row(r);
@@ -329,6 +306,232 @@ fn aggregate_rows<G: AttributedView + ?Sized>(
             .collect::<Result<_>>()?,
     };
     aggregate(agg, &values)
+}
+
+/// `rows` (table rows) in canonical order.
+fn canonical_order(table: &MatchTable, rows: &[usize], by_name: &[usize]) -> Vec<usize> {
+    let order = CanonicalKeys::new(table, rows, by_name).into_order();
+    order.into_iter().map(|pos| rows[pos]).collect()
+}
+
+/// Groups `rows` by the grouping-key tuple `keys` under the one
+/// grouping rule: taken in canonical order, a row joins the first group
+/// (in creation order) whose key is loosely equal to its own. Returns
+/// the groups in creation order, each as its member table rows with the
+/// canonically first member (the representative) in front and, when
+/// `ordered`, all members in canonical order.
+///
+/// No whole-table sort is needed for that. Loosely equal keys hash
+/// alike, so rows are bucketed by key hash and no group spans two
+/// buckets. A bucket whose keys are all identical and loosely equal to
+/// themselves is one group. Any other bucket (`1` beside `1.0`, a NaN,
+/// integers past 2^53 beside their `f64`, a hash collision) runs the
+/// rule over its own rows in canonical order. Groups are created in the
+/// canonical order of their representatives.
+fn group_rows<G: AttributedView + ?Sized>(
+    g: &G,
+    table: &MatchTable,
+    rows: &[usize],
+    by_name: &[usize],
+    keys: &[RowExpr],
+    ordered: bool,
+) -> Result<Vec<Vec<usize>>> {
+    struct Bucket {
+        key: Vec<Value>,
+        uniform: bool,
+        /// Positions in `rows`.
+        members: Vec<usize>,
+    }
+    let canonical = CanonicalKeys::new(table, rows, by_name);
+    let eval_key = |r: usize, key: &mut Vec<Value>| -> Result<()> {
+        key.clear();
+        for e in keys {
+            key.push(e.eval(g, table.row(r))?);
+        }
+        Ok(())
+    };
+    // A key that reads one variable (`c.community`) is a function of
+    // that column's node: each distinct node is evaluated and bucketed
+    // once.
+    let mut read = Vec::new();
+    for e in keys {
+        e.visit_columns(&mut |c| read.push(c));
+    }
+    read.sort_unstable();
+    read.dedup();
+    let memo_column = match read[..] {
+        [] => Some(None),
+        [c] => Some(Some(c)),
+        _ => None,
+    };
+    let mut bucket_of_node: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut bucket_of_hash: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut buckets: Vec<Bucket> = Vec::new();
+    let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+    for (pos, &r) in rows.iter().enumerate() {
+        let node = memo_column.map(|c| c.map_or(0, |c| table.row(r)[c].raw()));
+        if let Some(&b) = node.and_then(|n| bucket_of_node.get(&n)) {
+            buckets[b].members.push(pos);
+            continue;
+        }
+        if let Err(err) = eval_key(r, &mut key) {
+            // Report the error a pass in canonical order meets first.
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            canonical.sort_by(&mut order, |&p| p);
+            let first = order
+                .into_iter()
+                .find_map(|p| eval_key(rows[p], &mut key).err());
+            return Err(first.unwrap_or(err));
+        }
+        let mut hasher = FxHasher::default();
+        for v in &key {
+            hasher.write_u64(v.loose_hash());
+        }
+        let b = *bucket_of_hash.entry(hasher.finish()).or_insert_with(|| {
+            buckets.push(Bucket {
+                uniform: key.iter().all(|v| v.loose_eq(v)),
+                key: key.clone(),
+                members: Vec::new(),
+            });
+            buckets.len() - 1
+        });
+        let bucket = &mut buckets[b];
+        bucket.uniform &= bucket.key == key;
+        bucket.members.push(pos);
+        if let Some(n) = node {
+            bucket_of_node.insert(n, b);
+        }
+    }
+
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(buckets.len());
+    for mut bucket in buckets {
+        if bucket.uniform {
+            if ordered {
+                canonical.sort_by(&mut bucket.members, |&p| p);
+            } else {
+                let first = canonical.first(&bucket.members);
+                bucket.members.swap(0, first);
+            }
+            groups.push(bucket.members);
+            continue;
+        }
+        canonical.sort_by(&mut bucket.members, |&p| p);
+        let mut local: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+        for pos in bucket.members {
+            eval_key(rows[pos], &mut key)?;
+            match local
+                .iter_mut()
+                .find(|(k, _)| k.iter().zip(&key).all(|(a, c)| a.loose_eq(c)))
+            {
+                Some((_, members)) => members.push(pos),
+                None => local.push((key.clone(), vec![pos])),
+            }
+        }
+        groups.extend(local.into_iter().map(|(_, members)| members));
+    }
+    canonical.sort_by(&mut groups, |members| members[0]);
+    for members in &mut groups {
+        for pos in members.iter_mut() {
+            *pos = rows[*pos];
+        }
+    }
+    Ok(groups)
+}
+
+/// One canonical sort key per position in a list of table rows: the
+/// row's raw ids in variable-name order, packed most significant first
+/// into one integer, with the position in the low bits. Ids take the
+/// bits of the largest id among the rows. The position bits make every
+/// key distinct and break ties between equal rows by position, as a
+/// stable sort would, so integer order is the canonical order exactly
+/// and an unstable sort is safe. A key wider than 128 bits falls back
+/// to ranking the rows with the column-by-column comparator.
+struct CanonicalKeys {
+    keys: PackedKeys,
+    pos_bits: u32,
+}
+
+enum PackedKeys {
+    Narrow(Vec<u64>),
+    Wide(Vec<u128>),
+}
+
+impl CanonicalKeys {
+    fn new(table: &MatchTable, rows: &[usize], by_name: &[usize]) -> Self {
+        let bits = |x: u64| u64::BITS - x.leading_zeros();
+        let pos_bits = bits(rows.len().saturating_sub(1) as u64);
+        let mut max_id = 0;
+        for &r in rows {
+            for n in table.row(r) {
+                max_id = max_id.max(n.raw());
+            }
+        }
+        let id_bits = bits(max_id);
+        let width = id_bits as usize * by_name.len() + pos_bits as usize;
+        let pack = |pos: usize| {
+            let row = table.row(rows[pos]);
+            let ids = by_name
+                .iter()
+                .fold(0u128, |k, &c| (k << id_bits) | u128::from(row[c].raw()));
+            (ids << pos_bits) | pos as u128
+        };
+        let keys = if width <= 64 {
+            PackedKeys::Narrow((0..rows.len()).map(|pos| pack(pos) as u64).collect())
+        } else if width <= 128 {
+            PackedKeys::Wide((0..rows.len()).map(pack).collect())
+        } else {
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (ra, rb) = (table.row(rows[a]), table.row(rows[b]));
+                by_name
+                    .iter()
+                    .map(|&c| ra[c].raw().cmp(&rb[c].raw()))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
+            let mut keys = vec![0u64; rows.len()];
+            for (rank, &pos) in order.iter().enumerate() {
+                keys[pos] = (rank as u64) << pos_bits | pos as u64;
+            }
+            PackedKeys::Narrow(keys)
+        };
+        CanonicalKeys { keys, pos_bits }
+    }
+
+    /// Every position, in canonical order.
+    fn into_order(self) -> Vec<usize> {
+        let mask = (1u128 << self.pos_bits) - 1;
+        match self.keys {
+            PackedKeys::Narrow(mut keys) => {
+                keys.sort_unstable();
+                keys.into_iter()
+                    .map(|k| (u128::from(k) & mask) as usize)
+                    .collect()
+            }
+            PackedKeys::Wide(mut keys) => {
+                keys.sort_unstable();
+                keys.into_iter().map(|k| (k & mask) as usize).collect()
+            }
+        }
+    }
+
+    /// Sorts `items` into the canonical order of the position each
+    /// names (the positions must be distinct).
+    fn sort_by<T>(&self, items: &mut [T], pos: impl Fn(&T) -> usize) {
+        match &self.keys {
+            PackedKeys::Narrow(keys) => items.sort_unstable_by_key(|t| keys[pos(t)]),
+            PackedKeys::Wide(keys) => items.sort_unstable_by_key(|t| keys[pos(t)]),
+        }
+    }
+
+    /// Index in `positions` of the canonically first position.
+    fn first(&self, positions: &[usize]) -> usize {
+        let first = match &self.keys {
+            PackedKeys::Narrow(keys) => positions.iter().enumerate().min_by_key(|(_, &p)| keys[p]),
+            PackedKeys::Wide(keys) => positions.iter().enumerate().min_by_key(|(_, &p)| keys[p]),
+        };
+        first.map_or(0, |(i, _)| i)
+    }
 }
 
 /// Is `to` reachable from `from` in `min..=max` hops over edges whose
@@ -431,6 +634,19 @@ impl RowExpr {
             Expr::Not(inner) => RowExpr::Not(sub(inner)?),
             Expr::Bin(op, lhs, rhs) => RowExpr::Bin(*op, sub(lhs)?, sub(rhs)?),
         })
+    }
+
+    /// Calls `f` with each column the expression reads.
+    fn visit_columns(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            RowExpr::Lit(_) => {}
+            RowExpr::Id(c) | RowExpr::Label(c) | RowExpr::Degree(c) | RowExpr::Prop(c, _) => f(*c),
+            RowExpr::Not(inner) => inner.visit_columns(f),
+            RowExpr::Bin(_, lhs, rhs) => {
+                lhs.visit_columns(f);
+                rhs.visit_columns(f);
+            }
+        }
     }
 
     fn eval<G: AttributedView + ?Sized>(&self, g: &G, row: &[NodeId]) -> Result<Value> {
@@ -727,6 +943,112 @@ mod tests {
             Expr::Lit(Value::from(0)),
         ));
         assert!(evaluate_select(&g, &q2).unwrap().is_empty());
+    }
+
+    #[test]
+    fn grouping_reports_the_canonically_first_key_error() {
+        let mut g = PropertyGraph::new();
+        let x = g.add_node("person", props! { "h" => 1.5 });
+        let y = g.add_node("person", props! { "h" => 1 });
+        let text = "MATCH (p:person) RETURN p.h + p.label, count(*)";
+        let crate::cypher::CypherStatement::Select(q) = crate::cypher::parse(text).unwrap() else {
+            panic!("{text}: not a read query");
+        };
+        // Executor order puts `y` first; canonical order puts `x` first.
+        let bindings: Vec<gdm_algo::pattern::Binding> = [y, x]
+            .into_iter()
+            .map(|n| [("p".to_owned(), n)].into_iter().collect())
+            .collect();
+        let table = MatchTable::from_bindings(&q.pattern, &bindings);
+        let err = finish_select(&g, &q, &table).unwrap_err().to_string();
+        assert!(err.contains("float and string"), "{err}");
+    }
+
+    /// The canonical order as the column-by-column comparator gives it:
+    /// a stable sort of `rows`.
+    fn comparator_order(table: &MatchTable, rows: &[usize], by_name: &[usize]) -> Vec<usize> {
+        let mut sorted = rows.to_vec();
+        sorted.sort_by(|&a, &b| {
+            let (ra, rb) = (table.row(a), table.row(b));
+            by_name
+                .iter()
+                .map(|&c| ra[c].raw().cmp(&rb[c].raw()))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        sorted
+    }
+
+    #[test]
+    fn packed_keys_order_rows_as_the_comparator_does() {
+        // SplitMix64 from a fixed seed.
+        let mut state = 2012u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let bits = |x: u64| u64::BITS - x.leading_zeros();
+        // Tables whose keys fit 64 bits, 128 bits, and neither.
+        let mut seen = [0; 3];
+        for round in 0..300 {
+            let cols = 1 + round % 12;
+            let mask = u64::MAX >> (next() % 64);
+            let names: Vec<String> = (0..cols)
+                .map(|c| format!("v{}", (c * 7 + round) % 12))
+                .collect();
+            let mut pattern = gdm_algo::pattern::Pattern::new();
+            for name in &names {
+                pattern.node(PatternNode::var(name.clone()));
+            }
+            let n = (next() % 200) as usize;
+            let mut bindings: Vec<gdm_algo::pattern::Binding> = Vec::with_capacity(n);
+            for i in 0..n {
+                if i > 0 && next() % 8 == 0 {
+                    // An equal row: ties break by position.
+                    bindings.push(bindings[next() as usize % i].clone());
+                    continue;
+                }
+                // Few values per column, so rows share long prefixes.
+                let mut id = || match next() % 3 {
+                    0 => 0,
+                    1 => mask,
+                    _ => next() & mask,
+                };
+                bindings.push(names.iter().map(|v| (v.clone(), NodeId(id()))).collect());
+            }
+            let table = MatchTable::from_bindings(&pattern, &bindings);
+            let mut by_name: Vec<usize> = (0..cols).collect();
+            by_name.sort_by(|&a, &b| table.vars()[a].cmp(&table.vars()[b]));
+            let mut rows: Vec<usize> = (0..n).filter(|_| next() % 4 != 0).collect();
+            if round % 2 == 1 {
+                rows.reverse();
+            }
+            let max_id = rows.iter().flat_map(|&r| table.row(r)).map(|id| id.raw());
+            let width = bits(max_id.max().unwrap_or(0)) as usize * cols
+                + bits(rows.len().saturating_sub(1) as u64) as usize;
+            seen[usize::from(width > 64) + usize::from(width > 128)] += 1;
+
+            let want = comparator_order(&table, &rows, &by_name);
+            assert_eq!(
+                canonical_order(&table, &rows, &by_name),
+                want,
+                "round {round}"
+            );
+            let keys = CanonicalKeys::new(&table, &rows, &by_name);
+            let mut positions: Vec<usize> = (0..rows.len()).collect();
+            keys.sort_by(&mut positions, |&p| p);
+            let by_positions: Vec<usize> = positions.iter().map(|&p| rows[p]).collect();
+            assert_eq!(by_positions, want, "round {round}");
+            if let Some(&first) = want.first() {
+                let scrambled: Vec<usize> = positions.iter().rev().copied().collect();
+                let at = keys.first(&scrambled);
+                assert_eq!(rows[scrambled[at]], first, "round {round}");
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 20), "key widths covered: {seen:?}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use graph_db_models::algo::summary::aggregate;
 use graph_db_models::algo::FrozenGraph;
 use graph_db_models::bench::workload::{social_graph, SocialParams};
 use graph_db_models::core::{
-    AttributedView, FxHashSet, GdmError, GraphView, NodeId, Result, Value,
+    props, AttributedView, FxHashSet, GdmError, GraphView, NodeId, Result, Value,
 };
 use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
@@ -203,6 +203,148 @@ fn high_cardinality_group_by_matches_reference() {
                 force_fanout(false);
                 assert!(got == want, "{name}, {workers} workers: {text}");
             }
+        }
+    }
+}
+
+/// Group keys whose grouping depends on the canonical order: NaN (each
+/// NaN row its own group), `-0.0` beside `0.0` (one group, shown as its
+/// first row's zero), `Int(k)` beside `Float(k)` (one group, shown as
+/// the first row's number). Aggregates over mixed-magnitude floats,
+/// where an `f64` sum depends on the order it adds in (`1e16 + 1.0`),
+/// and over `1` beside `1.0`, where `min`/`max` keep whichever comes
+/// first. Grouping keys that fail on some rows with row-dependent
+/// errors. At two workers the executor emits rows out of canonical
+/// order, so any fold in executor order fails here.
+#[test]
+fn order_sensitive_groups_and_folds_match_reference() {
+    let mut live = graph(400);
+    for (i, n) in live.node_ids().into_iter().enumerate() {
+        let k = (i % 4) as i64;
+        let h = match i % 7 {
+            0 => Some(Value::Float(f64::NAN)),
+            1 => Some(Value::Float(-0.0)),
+            2 => Some(Value::Float(0.0)),
+            3 | 6 => Some(Value::Int(k)),
+            4 => Some(Value::Float(k as f64)),
+            _ => None, // a null key
+        };
+        if let Some(h) = h {
+            live.set_node_property(n, "h", h).unwrap();
+        }
+        let f = [
+            Value::Float(1e16),
+            Value::Float(1.0),
+            Value::Int(1),
+            Value::Float(-1e16),
+            Value::Float(0.5),
+        ][i % 5]
+            .clone();
+        live.set_node_property(n, "f", f).unwrap();
+        let t = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.0),
+        ][i % 4]
+            .clone();
+        live.set_node_property(n, "t", t).unwrap();
+    }
+    let frozen = FrozenGraph::freeze_attributed(&live);
+    let folds = "sum(c.f), avg(c.f), min(c.f), max(c.f), min(c.t), max(c.t)";
+    for text in [
+        "MATCH (p:person) RETURN p.h, count(*)".to_owned(),
+        format!("{TWO_HOP} RETURN c.h, count(*)"),
+        format!("{TWO_HOP} WHERE a.community = 2 RETURN c.h, {folds}"),
+        format!(
+            "{TWO_HOP} WHERE a.community = 4 RETURN c.h AS h, b.h, count(*) AS n, {folds} \
+             ORDER BY n DESC"
+        ),
+        format!("{TWO_HOP} WHERE a.community = 6 RETURN a.community, {folds}"),
+        format!("{TWO_HOP} WHERE a.community = 1 RETURN {folds}"),
+        format!("{TWO_HOP} RETURN count(*), count(c.h), {folds}"),
+        format!("{ONE_HOP} RETURN b.t, min(a.f), max(a.t), sum(a.f) ORDER BY b.t"),
+        format!("{ONE_HOP} RETURN b.h + b.name, count(*)"),
+        format!("{ONE_HOP} RETURN b.community, count(b.h + b.name)"),
+    ] {
+        assert_paths_match(&live, &frozen, &text, false);
+    }
+}
+
+/// Canonical keys wider than the packed sort's `u64` and `u128`: six
+/// and ten chained variables over node ids above 2^12 (4 096 padding
+/// nodes come first), so the six-variable key packs into 128 bits and
+/// the ten-variable key (over 130 bits) falls back to the comparator.
+/// Chain steps are created in one order and linked in another, and the
+/// variable names do not sort in chain order.
+#[test]
+fn wide_canonical_keys_match_reference() {
+    let mut live = PropertyGraph::new();
+    for _ in 0..4096 {
+        live.add_node("pad", props! {});
+    }
+    const STEPS: usize = 120;
+    let steps: Vec<NodeId> = (0..STEPS)
+        .map(|i| {
+            let w = [Value::Float(1e16), Value::Float(1.0), Value::Int(1)][i % 3].clone();
+            let props =
+                props! { "name" => format!("step{i}"), "bucket" => (i % 4) as i64, "w" => w };
+            live.add_node("step", props)
+        })
+        .collect();
+    for i in 0..STEPS - 1 {
+        let (from, to) = (steps[i * 7 % STEPS], steps[(i + 1) * 7 % STEPS]);
+        live.add_edge(from, to, "next", props! {}).unwrap();
+    }
+    let frozen = FrozenGraph::freeze_attributed(&live);
+    let chain = |vars: &[&str]| {
+        let hops: Vec<String> = vars.iter().map(|v| format!("({v}:step)")).collect();
+        format!("MATCH {}", hops.join("-[:next]->"))
+    };
+    let six = chain(&["m", "d", "k", "a", "q", "b"]);
+    let ten = chain(&["m", "d", "k", "a", "q", "b", "z", "e", "c", "x"]);
+    for text in [
+        format!("{six} RETURN m.name, b.name"),
+        format!("{six} RETURN b.bucket, count(*), sum(m.w), min(b.w)"),
+        format!("{ten} RETURN x.name, m.name"),
+        format!("{ten} RETURN DISTINCT x.bucket, m.bucket"),
+        format!("{ten} RETURN m.bucket, count(*), sum(x.w), max(x.w)"),
+        format!("{ten} RETURN sum(x.w), avg(m.w)"),
+    ] {
+        assert_paths_match(&live, &frozen, &text, true);
+    }
+}
+
+/// Asserts that `text` returns the reference's `ResultSet` on every
+/// served path: the unplanned one (when `unplanned`), then live and
+/// frozen at one and two executor workers, and that it returns rows or
+/// an error. Results compare by their `Debug` rendering, which tells
+/// `-0.0` from `0.0` and `1` from `1.0` as `==` does, and also equates
+/// NaN with NaN.
+fn assert_paths_match(live: &PropertyGraph, frozen: &FrozenGraph, text: &str, unplanned: bool) {
+    let guard = ExecutionGuard::unlimited();
+    let query = parse(text);
+    let want = outcome(reference_select(live, &query));
+    assert!(
+        want.as_ref().map_or(true, |rs| !rs.is_empty()),
+        "{text}: no rows"
+    );
+    let want = format!("{want:?}");
+    if unplanned {
+        let got = format!("{:?}", outcome(evaluate_select_unplanned(live, &query)));
+        assert!(got == want, "unplanned: {text}");
+    }
+    let views: [(&str, &dyn AttributedView); 2] = [("live", live), ("frozen", frozen)];
+    for (name, view) in views {
+        for workers in [1, 2] {
+            force_fanout(workers > 1);
+            let got = outcome(plan_select(view, &query).and_then(|mut planned| {
+                planned.explain.parallel_workers = workers;
+                execute_planned_governed(view, &planned, &guard)
+            }));
+            force_fanout(false);
+            let got = format!("{got:?}");
+            assert!(got == want, "{name}, {workers} workers: {text}");
         }
     }
 }
